@@ -15,7 +15,7 @@
 #include <set>
 #include <vector>
 
-#include "apps/estimator_registry.h"
+#include "apps/sink_spec.h"
 #include "apps/triangles.h"
 #include "bench/bench_util.h"
 #include "stream/driver.h"
@@ -95,14 +95,16 @@ void Run() {
   for (const char* substrate :
        {"bop-seq-single", "exact-seq", "bop-ts-single"}) {
     for (uint64_t r : (SmokeMode() ? smoke : full)) {
-      EstimatorConfig config;
+      SinkSpec config;
       config.substrate = substrate;
       config.window_n = n;
       config.window_t = static_cast<Timestamp>(n);
       config.r = r;
       config.num_vertices = v;
       config.seed = Rng::ForkSeed(500, r);
-      auto est = CreateEstimator("buriol-triangles", config).ValueOrDie();
+      config.name = "buriol-triangles";
+      Sink est_sink = CreateSink(config).ValueOrDie();
+      WindowEstimator* est = est_sink.estimator;
       DriveReport drive = driver.Drive(std::span<const Item>(items), *est);
       const double estimate = est->Estimate().value;
       Row({substrate, U(r), U(exact), F(estimate, 1),

@@ -14,7 +14,7 @@
 #include <deque>
 #include <vector>
 
-#include "apps/estimator_registry.h"
+#include "apps/sink_spec.h"
 #include "apps/quantiles.h"
 #include "bench/bench_util.h"
 #include "stream/driver.h"
@@ -61,17 +61,19 @@ void Run() {
   for (const char* substrate : {"bop-seq-swor", "bdm-chain", "exact-seq"}) {
     for (uint64_t k : (SmokeMode() ? smoke : full)) {
       const double eps = std::sqrt(std::log(2.0 / 0.05) / (2.0 * k));
-      EstimatorConfig config;
+      SinkSpec config;
       config.substrate = substrate;
       config.window_n = n;
       config.r = k;
       config.seed = Rng::ForkSeed(40, k);
-      auto est = CreateEstimator("dkw-quantile", config).ValueOrDie();
+      config.name = "dkw-quantile";
+      Sink est_sink = CreateSink(config).ValueOrDie();
+      WindowEstimator* est = est_sink.estimator;
       driver.Drive(std::span<const Item>(items), *est);
       // One drive per cell; both quantiles come from ONE sample draw
       // (consistent ranks) through the concrete estimator's multi-q
-      // query. The registry hands back the only type behind this name.
-      auto* quantiles = dynamic_cast<QuantileEstimator*>(est.get());
+      // query. The sink table hands back the only type behind this name.
+      auto* quantiles = dynamic_cast<QuantileEstimator*>(est);
       const std::vector<uint64_t> estimates =
           quantiles->Quantiles({0.5, 0.9});
       const double qs[] = {0.5, 0.9};

@@ -19,9 +19,8 @@
 #include <string>
 #include <vector>
 
-#include "apps/estimator_registry.h"
+#include "apps/sink_spec.h"
 #include "bench/bench_util.h"
-#include "core/registry.h"
 #include "stream/driver.h"
 
 using namespace swsample;
@@ -106,16 +105,17 @@ int main() {
   const std::vector<Item> stream = MakeStream(kItems, /*seed=*/15);
 
   Row({"sampler", "per-item", "batch=64", "batch=1k", "batch=16k", "unit"});
-  for (const SamplerSpec& spec : RegisteredSamplers()) {
+  for (const SinkInfo& info : RegisteredSinks(SinkKind::kSampler)) {
     // The O(n)-word oracles hold the whole window; keep them in the table
     // (they exercise the default path) but skip nothing else.
-    SamplerConfig config;
-    config.window_n = kWindow;
-    config.window_t = static_cast<Timestamp>(kWindow);
-    config.k = spec.single_sample ? 1 : kK;
-    config.seed = 15;
-    SweepModes("e15", spec.name, std::span<const Item>(stream), kWindow,
-               [&] { return CreateSampler(spec.name, config).ValueOrDie(); });
+    SinkSpec spec;
+    spec.name = info.name;
+    spec.window_n = kWindow;
+    spec.window_t = static_cast<Timestamp>(kWindow);
+    spec.k = info.single_sample ? 1 : kK;
+    spec.seed = 15;
+    SweepModes("e15", info.name, std::span<const Item>(stream), kWindow,
+               [&] { return CreateSink(spec).ValueOrDie().sink; });
   }
 
   std::printf(
@@ -125,8 +125,8 @@ int main() {
       "devirtualized (bdm-*, gl-*, oversample) or bulk-append (exact-*)\n"
       "overrides, so no row pays per-item virtual dispatch.\n");
 
-  // --- Estimator layer: the same comparison through the estimator
-  // registry. dkw-quantile inherits the sampler fast path wholesale;
+  // --- Estimator layer: the same comparison over the estimators.
+  // dkw-quantile inherits the sampler fast path wholesale;
   // ams-fk/ccm-entropy amortize the per-item reservoir draw with the
   // PayloadWindowUnit skip-ahead (payload updates stay per item, so the
   // margin is narrower than for raw samplers by design).
@@ -134,13 +134,14 @@ int main() {
   Row({"estimator", "per-item", "batch=64", "batch=1k", "batch=16k",
        "unit"});
   for (const char* name : {"ams-fk", "ccm-entropy", "dkw-quantile"}) {
-    EstimatorConfig config;
-    config.window_n = kWindow;
-    config.r = 64;
-    config.seed = 15;
+    SinkSpec spec;
+    spec.name = name;
+    spec.window_n = kWindow;
+    spec.r = 64;
+    spec.seed = 15;
     SweepModes("e15", std::string(name) + "/bop-seq-single",
                std::span<const Item>(stream), kWindow,
-               [&] { return CreateEstimator(name, config).ValueOrDie(); });
+               [&] { return CreateSink(spec).ValueOrDie().sink; });
   }
 
   // --- Timestamp substrates: the flat-map candidate state + batched
@@ -152,14 +153,15 @@ int main() {
   Row({"estimator", "per-item", "batch=64", "batch=1k", "batch=16k",
        "unit"});
   for (const char* name : {"ams-fk", "ccm-entropy"}) {
-    EstimatorConfig config;
-    config.substrate = "bop-ts-single";
-    config.window_t = static_cast<Timestamp>(kWindow);
-    config.r = 8;
-    config.seed = 16;
+    SinkSpec spec;
+    spec.name = name;
+    spec.substrate = "bop-ts-single";
+    spec.window_t = static_cast<Timestamp>(kWindow);
+    spec.r = 8;
+    spec.seed = 16;
     SweepModes("e15", std::string(name) + "/bop-ts-single",
                std::span<const Item>(ts_stream), kWindow,
-               [&] { return CreateEstimator(name, config).ValueOrDie(); });
+               [&] { return CreateSink(spec).ValueOrDie().sink; });
   }
 
   if (BenchReporter::Global().WriteJsonIfRequested()) {

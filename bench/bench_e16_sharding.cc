@@ -15,10 +15,8 @@
 #include <thread>
 #include <vector>
 
-#include "apps/estimator_registry.h"
 #include "apps/sink_spec.h"
 #include "bench/bench_util.h"
-#include "core/registry.h"
 #include "stream/driver.h"
 #include "stream/sharded_driver.h"
 
@@ -50,14 +48,16 @@ std::vector<Item> MakeStream(uint64_t items, uint64_t seed) {
 /// the 1-thread StreamDriver baseline, and per-core efficiency.
 void SamplerSweep(const char* name, std::span<const Item> stream,
                   const std::vector<uint64_t>& thread_counts) {
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = name;
   config.window_n = kWindow;
   config.k = kK;
   config.seed = 16;
 
   double baseline = 0.0;
   {
-    auto sampler = CreateSampler(name, config).ValueOrDie();
+    Sink sampler_sink = CreateSink(config).ValueOrDie();
+    WindowSampler* sampler = sampler_sink.sampler;
     StreamDriver::Options options;
     options.batch_size = kChunkItems;
     options.memory_probe_every = 0;
@@ -67,7 +67,7 @@ void SamplerSweep(const char* name, std::span<const Item> stream,
          U(report.peak_memory_words)});
   }
   for (uint64_t threads : thread_counts) {
-    auto shards = CreateShardedSinks(SamplerSinkSpec(name, config), threads).ValueOrDie();
+    auto shards = CreateShardedSinks(config, threads).ValueOrDie();
     auto sinks = SinkPointers(shards);
     ShardedStreamDriver::Options options;
     options.threads = threads;
@@ -94,7 +94,8 @@ void SamplerSweep(const char* name, std::span<const Item> stream,
 
 void EstimatorSweep(std::span<const Item> stream,
                     const std::vector<uint64_t>& thread_counts) {
-  EstimatorConfig config;
+  SinkSpec config;
+  config.name = "ams-fk";
   config.substrate = "bop-seq-single";
   config.window_n = kWindow;
   config.r = 64;
@@ -102,7 +103,8 @@ void EstimatorSweep(std::span<const Item> stream,
 
   double baseline = 0.0;
   {
-    auto est = CreateEstimator("ams-fk", config).ValueOrDie();
+    Sink est_sink = CreateSink(config).ValueOrDie();
+    WindowEstimator* est = est_sink.estimator;
     StreamDriver::Options options;
     options.batch_size = kChunkItems;
     options.memory_probe_every = 0;
@@ -112,8 +114,7 @@ void EstimatorSweep(std::span<const Item> stream,
          U(report.peak_memory_words)});
   }
   for (uint64_t threads : thread_counts) {
-    auto shards =
-        CreateShardedSinks(EstimatorSinkSpec("ams-fk", config), threads).ValueOrDie();
+    auto shards = CreateShardedSinks(config, threads).ValueOrDie();
     auto sinks = SinkPointers(shards);
     ShardedStreamDriver::Options options;
     options.threads = threads;

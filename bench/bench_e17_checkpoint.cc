@@ -17,9 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "apps/sink_spec.h"
 #include "bench/bench_util.h"
-#include "core/checkpoint.h"
-#include "core/registry.h"
 #include "stream/driver.h"
 #include "util/rng.h"
 
@@ -68,20 +67,21 @@ void RunSweep() {
                            static_cast<Timestamp>(i)});
     }
     for (const char* name : names) {
-      const SamplerSpec* spec = FindSamplerSpec(name);
-      SamplerConfig config;
+      SinkSpec config;
+      config.name = name;
       config.window_n = window;
       config.window_t = static_cast<Timestamp>(window);
-      config.k = spec->single_sample ? 1 : k;
+      config.k = FindSink(name)->single_sample ? 1 : k;
       config.seed = 0xe17;
-      auto sampler = CreateSampler(name, config).ValueOrDie();
+      Sink sampler_sink = CreateSink(config).ValueOrDie();
+      WindowSampler* sampler = sampler_sink.sampler;
       driver.Drive(items, *sampler);
 
-      std::string blob = SaveSampler(*sampler, config).ValueOrDie();
+      std::string blob = SaveSink(*sampler, config).ValueOrDie();
       const double save_us = MicrosPerOp(
-          [&] { SaveSampler(*sampler, config).ValueOrDie(); }, reps);
+          [&] { SaveSink(*sampler, config).ValueOrDie(); }, reps);
       const double restore_us =
-          MicrosPerOp([&] { RestoreSampler(blob).ValueOrDie(); }, reps);
+          MicrosPerOp([&] { RestoreSink(blob).ValueOrDie(); }, reps);
       const double bound =
           static_cast<double>(config.k) *
           std::max(1.0, std::log2(static_cast<double>(window)));
@@ -93,7 +93,7 @@ void RunSweep() {
   std::printf(
       "\nshape check: bop-seq-* rows are flat across windows (O(k) words);\n"
       "bop-ts-* rows grow ~ log n; exact-seq grows ~ n. Restore cost\n"
-      "includes registry construction + full validation.\n");
+      "includes sink construction + full validation.\n");
 }
 
 }  // namespace

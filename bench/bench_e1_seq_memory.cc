@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/registry.h"
+#include "apps/sink_spec.h"
 
 namespace swsample::bench {
 namespace {
@@ -33,11 +33,13 @@ void Run() {
       std::vector<std::string> cells = {U(n), U(k)};
       uint64_t seed = 1;
       for (const char* name : kSamplers) {
-        SamplerConfig config;
+        SinkSpec config;
         config.window_n = n;
         config.k = k;
         config.seed = seed++;
-        auto sampler = CreateSampler(name, config).ValueOrDie();
+        config.name = name;
+        Sink sampler_sink = CreateSink(config).ValueOrDie();
+        WindowSampler* sampler = sampler_sink.sampler;
         cells.push_back(
             U(MaxMemorySequenceRun(*sampler, items, 1 << 20, 9 + seed)));
       }

@@ -13,7 +13,7 @@
 
 #include "baseline/chain_sampler.h"  // typed: MaxChainLength() accessor
 #include "bench/bench_util.h"
-#include "core/registry.h"
+#include "apps/sink_spec.h"
 #include "stats/summary.h"
 
 namespace swsample::bench {
@@ -43,11 +43,13 @@ void Run() {
     chain_words.push_back(static_cast<double>(max_words));
     chain_len.push_back(static_cast<double>(max_len));
 
-    SamplerConfig config;
+    SinkSpec config;
     config.window_n = n;
     config.k = k;
     config.seed = Rng::ForkSeed(100, static_cast<uint64_t>(t));
-    auto bop = CreateSampler("bop-seq-swr", config).ValueOrDie();
+    config.name = "bop-seq-swr";
+    Sink bop_sink = CreateSink(config).ValueOrDie();
+    WindowSampler* bop = bop_sink.sampler;
     bop_words =
         std::max(bop_words, MaxMemorySequenceRun(*bop, items, 1 << 20,
                                                  900 + t));

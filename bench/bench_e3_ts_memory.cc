@@ -14,7 +14,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/registry.h"
+#include "apps/sink_spec.h"
 #include "stream/arrival.h"
 #include "stream/stream_gen.h"
 #include "stream/value_gen.h"
@@ -56,11 +56,13 @@ void Run() {
           U(static_cast<uint64_t>(lambda * static_cast<double>(t0))), U(k)};
       uint64_t seed = 1;
       for (const char* name : kSamplers) {
-        SamplerConfig config;
+        SinkSpec config;
         config.window_t = t0;
         config.k = k;
         config.seed = seed++;
-        auto sampler = CreateSampler(name, config).ValueOrDie();
+        config.name = name;
+        Sink sampler_sink = CreateSink(config).ValueOrDie();
+        WindowSampler* sampler = sampler_sink.sampler;
         cells.push_back(U(MaxWordsBursty(*sampler, t0, lambda, 9 + seed)));
       }
       Row(cells);

@@ -19,7 +19,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
-#include "core/registry.h"
+#include "apps/sink_spec.h"
 #include "stats/tests.h"
 
 namespace swsample::bench {
@@ -38,12 +38,14 @@ ChiSquareResult WindowUniformity(const char* name, uint64_t window,
     items.push_back(Item{i, i, static_cast<Timestamp>(i)});
   }
   for (int t = 0; t < trials; ++t) {
-    SamplerConfig config;
+    SinkSpec config;
     config.window_n = window;
     config.window_t = static_cast<Timestamp>(window);
     config.k = 1;
     config.seed = seed_base + static_cast<uint64_t>(t);
-    auto s = CreateSampler(name, config).ValueOrDie();
+    config.name = name;
+    Sink s_sink = CreateSink(config).ValueOrDie();
+    WindowSampler* s = s_sink.sampler;
     if (batch == 0) {
       for (const Item& item : items) s->Observe(item);
     } else {
@@ -67,7 +69,7 @@ void Run() {
   const int trials = 40000;
 
   uint64_t seed_base = 1000000;
-  for (const SamplerSpec& spec : RegisteredSamplers()) {
+  for (const SinkInfo& spec : RegisteredSinks(SinkKind::kSampler)) {
     const char* model =
         spec.model == WindowModel::kSequence ? "seq" : "ts";
     for (uint64_t batch : {uint64_t{0}, uint64_t{13}}) {

@@ -16,7 +16,7 @@
 
 #include "baseline/oversampler.h"  // typed: failure_count() accessor
 #include "bench/bench_util.h"
-#include "core/registry.h"
+#include "apps/sink_spec.h"
 #include "stats/tests.h"
 
 namespace swsample::bench {
@@ -30,11 +30,13 @@ void PartA() {
   {
     std::map<std::vector<uint64_t>, uint64_t> counts;
     for (int t = 0; t < trials; ++t) {
-      SamplerConfig config;
+      SinkSpec config;
       config.window_n = n;
       config.k = k;
       config.seed = Rng::ForkSeed(100, static_cast<uint64_t>(t));
-      auto s = CreateSampler("bop-seq-swor", config).ValueOrDie();
+      config.name = "bop-seq-swor";
+      Sink s_sink = CreateSink(config).ValueOrDie();
+      WindowSampler* s = s_sink.sampler;
       for (uint64_t i = 0; i < len; ++i) {
         s->Observe(Item{i, i, static_cast<Timestamp>(i)});
       }
@@ -53,11 +55,13 @@ void PartA() {
   {
     std::map<std::vector<uint64_t>, uint64_t> counts;
     for (int t = 0; t < trials; ++t) {
-      SamplerConfig config;
+      SinkSpec config;
       config.window_t = static_cast<Timestamp>(n);
       config.k = k;
       config.seed = Rng::ForkSeed(700000, static_cast<uint64_t>(t));
-      auto s = CreateSampler("bop-ts-swor", config).ValueOrDie();
+      config.name = "bop-ts-swor";
+      Sink s_sink = CreateSink(config).ValueOrDie();
+      WindowSampler* s = s_sink.sampler;
       for (Timestamp i = 0; i < static_cast<Timestamp>(len); ++i) {
         s->Observe(
             Item{static_cast<uint64_t>(i), static_cast<uint64_t>(i), i});
@@ -102,11 +106,13 @@ void PartB() {
          "randomized"});
   }
   {
-    SamplerConfig config;
+    SinkSpec config;
     config.window_n = n;
     config.k = k;
     config.seed = 50;
-    auto s = CreateSampler("bop-seq-swor", config).ValueOrDie();
+    config.name = "bop-seq-swor";
+    Sink s_sink = CreateSink(config).ValueOrDie();
+    WindowSampler* s = s_sink.sampler;
     Rng rng(8);
     uint64_t word_acc = 0, steps = 0, shortfalls = 0;
     for (uint64_t i = 0; i < 4 * n; ++i) {

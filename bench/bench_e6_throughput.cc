@@ -16,7 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "core/registry.h"
+#include "apps/sink_spec.h"
 #include "reservoir/algorithm_l.h"
 #include "reservoir/reservoir.h"
 
@@ -26,13 +26,14 @@ namespace {
 constexpr uint64_t kWindow = 1 << 16;
 constexpr uint64_t kBatch = 1 << 10;
 
-SamplerConfig BenchConfig(uint64_t k) {
-  SamplerConfig config;
-  config.window_n = kWindow;
-  config.window_t = static_cast<Timestamp>(kWindow);
-  config.k = k;
-  config.seed = 7;
-  return config;
+Sink BenchSampler(std::string name, uint64_t k) {
+  SinkSpec spec;
+  spec.name = std::move(name);
+  spec.window_n = kWindow;
+  spec.window_t = static_cast<Timestamp>(kWindow);
+  spec.k = k;
+  spec.seed = 7;
+  return CreateSink(spec).ValueOrDie();
 }
 
 void DriveObserve(benchmark::State& state, WindowSampler& sampler) {
@@ -64,25 +65,23 @@ void DriveObserveBatch(benchmark::State& state, WindowSampler& sampler) {
 }
 
 void SamplerObserve(benchmark::State& state, std::string name) {
-  auto sampler =
-      CreateSampler(name, BenchConfig(static_cast<uint64_t>(state.range(0))))
-          .ValueOrDie();
-  DriveObserve(state, *sampler);
+  Sink sink =
+      BenchSampler(std::move(name), static_cast<uint64_t>(state.range(0)));
+  DriveObserve(state, *sink.sampler);
 }
 
 void SamplerObserveBatch(benchmark::State& state, std::string name) {
-  auto sampler =
-      CreateSampler(name, BenchConfig(static_cast<uint64_t>(state.range(0))))
-          .ValueOrDie();
-  DriveObserveBatch(state, *sampler);
+  Sink sink =
+      BenchSampler(std::move(name), static_cast<uint64_t>(state.range(0)));
+  DriveObserveBatch(state, *sink.sampler);
 }
 
 }  // namespace
 
 void RegisterSamplerBenchmarks() {
-  for (const SamplerSpec& spec : RegisteredSamplers()) {
-    const std::string name = spec.name;
-    const bool single = spec.single_sample;
+  for (const SinkInfo& info : RegisteredSinks(SinkKind::kSampler)) {
+    const std::string name = info.name;
+    const bool single = info.single_sample;
     auto* observe = benchmark::RegisterBenchmark(
         ("BM_Observe/" + name).c_str(),
         [name](benchmark::State& state) { SamplerObserve(state, name); });
@@ -128,7 +127,8 @@ BENCHMARK(BM_ReservoirAlgorithmL);
 
 // Query-path cost.
 void BM_SeqSwrSample(benchmark::State& state) {
-  auto s = CreateSampler("bop-seq-swr", BenchConfig(16)).ValueOrDie();
+  Sink sink = BenchSampler("bop-seq-swr", 16);
+  WindowSampler* s = sink.sampler;
   for (uint64_t i = 0; i < 2 * kWindow; ++i) {
     s->Observe(Item{i, i, static_cast<Timestamp>(i)});
   }
@@ -137,11 +137,13 @@ void BM_SeqSwrSample(benchmark::State& state) {
 BENCHMARK(BM_SeqSwrSample);
 
 void BM_TsSworSample(benchmark::State& state) {
-  SamplerConfig config;
-  config.window_t = 1 << 12;
-  config.k = 16;
-  config.seed = 7;
-  auto s = CreateSampler("bop-ts-swor", config).ValueOrDie();
+  SinkSpec spec;
+  spec.name = "bop-ts-swor";
+  spec.window_t = 1 << 12;
+  spec.k = 16;
+  spec.seed = 7;
+  Sink sink = CreateSink(spec).ValueOrDie();
+  WindowSampler* s = sink.sampler;
   for (uint64_t i = 0; i < (1 << 13); ++i) {
     s->Observe(Item{i, i, static_cast<Timestamp>(i)});
   }

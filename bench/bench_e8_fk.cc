@@ -14,7 +14,7 @@
 #include <utility>
 #include <vector>
 
-#include "apps/estimator_registry.h"
+#include "apps/sink_spec.h"
 #include "bench/bench_util.h"
 #include "stats/exact.h"
 #include "stream/driver.h"
@@ -54,13 +54,15 @@ void RunCase(uint32_t moment, double alpha, uint64_t domain) {
   StreamDriver driver;
   for (const char* substrate : {"bop-seq-single", "exact-seq"}) {
     for (uint64_t r : UnitCounts()) {
-      EstimatorConfig config;
+      SinkSpec config;
       config.substrate = substrate;
       config.window_n = n;
       config.r = r;
       config.moment = moment;
       config.seed = Rng::ForkSeed(900, r + moment);
-      auto est = CreateEstimator("ams-fk", config).ValueOrDie();
+      config.name = "ams-fk";
+      Sink est_sink = CreateSink(config).ValueOrDie();
+      WindowEstimator* est = est_sink.estimator;
       DriveReport drive = driver.Drive(std::span<const Item>(items), *est);
       const double estimate = est->Estimate().value;
       Row({"F" + std::to_string(moment), F(alpha, 1), substrate, U(r),
@@ -100,14 +102,16 @@ void RunTimestampCase(double alpha) {
   for (const char* substrate : {"bop-ts-single", "exact-ts"}) {
     for (uint64_t r : UnitCounts()) {
       if (r < 64 && !SmokeMode()) continue;  // ts variance needs r >= 64
-      EstimatorConfig config;
+      SinkSpec config;
       config.substrate = substrate;
       config.window_t = t0;
       config.r = r;
       config.moment = 2;
       config.count_eps = 0.05;
       config.seed = Rng::ForkSeed(400, r);
-      auto est = CreateEstimator("ams-fk", config).ValueOrDie();
+      config.name = "ams-fk";
+      Sink est_sink = CreateSink(config).ValueOrDie();
+      WindowEstimator* est = est_sink.estimator;
       DriveReport drive = driver.Drive(std::span<const Item>(items), *est);
       est->AdvanceTime(end);
       const double estimate = est->Estimate().value;

@@ -10,7 +10,7 @@
 #include <deque>
 #include <vector>
 
-#include "apps/estimator_registry.h"
+#include "apps/sink_spec.h"
 #include "bench/bench_util.h"
 #include "stats/exact.h"
 #include "stream/driver.h"
@@ -49,12 +49,14 @@ void RunCase(double alpha, uint64_t domain) {
   StreamDriver driver;
   for (const char* substrate : {"bop-seq-single", "exact-seq"}) {
     for (uint64_t r : UnitCounts()) {
-      EstimatorConfig config;
+      SinkSpec config;
       config.substrate = substrate;
       config.window_n = n;
       config.r = r;
       config.seed = Rng::ForkSeed(1700, r + domain);
-      auto est = CreateEstimator("ccm-entropy", config).ValueOrDie();
+      config.name = "ccm-entropy";
+      Sink est_sink = CreateSink(config).ValueOrDie();
+      WindowEstimator* est = est_sink.estimator;
       DriveReport drive = driver.Drive(std::span<const Item>(items), *est);
       const double estimate = est->Estimate().value;
       Row({F(alpha, 1), U(domain), substrate, U(r), F(exact, 4),

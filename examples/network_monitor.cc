@@ -16,7 +16,7 @@
 #include <cstdio>
 #include <map>
 
-#include "core/registry.h"
+#include "apps/sink_spec.h"
 #include "stream/arrival.h"
 #include "stream/stream_gen.h"
 #include "stream/value_gen.h"
@@ -26,11 +26,13 @@ using namespace swsample;
 int main() {
   const Timestamp window_seconds = 60;
   const uint64_t k = 64;
-  SamplerConfig config;
-  config.window_t = window_seconds;
-  config.k = k;
-  config.seed = 7;
-  auto sampler = CreateSampler("bop-ts-swor", config).ValueOrDie();
+  SinkSpec spec;
+  spec.name = "bop-ts-swor";
+  spec.window_t = window_seconds;
+  spec.k = k;
+  spec.seed = 7;
+  Sink sink = CreateSink(spec).ValueOrDie();
+  WindowSampler* sampler = sink.sampler;
 
   // Traffic: 256 sources with Zipf popularity, bursty arrivals whose rate
   // swings over a day-night cycle (lambda 8 by "day", 0.5 by "night").

@@ -14,7 +14,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/registry.h"
+#include "apps/sink_spec.h"
 #include "stream/value_gen.h"
 #include "util/rng.h"
 
@@ -25,17 +25,18 @@ int main() {
   const Timestamp t0 = 4096;     // timestamp window: last t0 ticks
   const uint64_t k = 8;          // samples to maintain
 
-  // The paper's four k-samplers, constructed by name from the registry
+  // The paper's four k-samplers, constructed by name from the sink table
   // (the factory validates the configuration).
-  SamplerConfig config;
-  config.window_n = n;
-  config.window_t = t0;
-  config.k = k;
-  std::vector<std::unique_ptr<WindowSampler>> samplers;
+  SinkSpec spec;
+  spec.window_n = n;
+  spec.window_t = t0;
+  spec.k = k;
+  std::vector<Sink> sinks;
   for (const char* name :
        {"bop-seq-swr", "bop-seq-swor", "bop-ts-swr", "bop-ts-swor"}) {
-    ++config.seed;
-    samplers.push_back(CreateSampler(name, config).ValueOrDie());
+    spec.name = name;
+    ++spec.seed;
+    sinks.push_back(CreateSink(spec).ValueOrDie());
   }
 
   // A synthetic sensor: Zipf-skewed readings, 4 per tick, ingested in
@@ -49,14 +50,15 @@ int main() {
   for (uint64_t i = 0; i < total; ++i) {
     batch.push_back(Item{values->Next(rng), i, static_cast<Timestamp>(i / 4)});
     if (batch.size() == batch_size || i + 1 == total) {
-      for (auto& s : samplers) s->ObserveBatch(std::span<const Item>(batch));
+      for (Sink& s : sinks) s.sink->ObserveBatch(std::span<const Item>(batch));
       batch.clear();
     }
   }
 
   std::printf("streamed %lu items; window sizes: seq=%lu ts<=%lu ticks\n\n",
               (unsigned long)total, (unsigned long)n, (unsigned long)t0);
-  for (auto& s : samplers) {
+  for (Sink& sink : sinks) {
+    WindowSampler* s = sink.sampler;
     auto sample = s->Sample();
     std::printf("%-14s k=%lu memory=%4lu words  sample indices:",
                 s->name(), (unsigned long)s->k(),

@@ -112,10 +112,8 @@
 #include <utility>
 #include <vector>
 
-#include "apps/estimator_registry.h"
 #include "apps/sink_spec.h"
 #include "core/api.h"
-#include "core/registry.h"
 #include "stream/checkpoint.h"
 #include "stream/driver.h"
 #include "stream/keyed_engine.h"
@@ -151,21 +149,21 @@ void Usage(const char* argv0) {
 
 void ListSamplers() {
   std::printf("registered samplers:\n");
-  for (const SamplerSpec& spec : RegisteredSamplers()) {
-    std::printf("  %-20s %-9s %s\n", spec.name,
-                spec.model == WindowModel::kSequence ? "sequence"
+  for (const SinkInfo& info : RegisteredSinks(SinkKind::kSampler)) {
+    std::printf("  %-20s %-9s %s\n", info.name,
+                info.model == WindowModel::kSequence ? "sequence"
                                                      : "timestamp",
-                spec.summary);
+                info.summary);
   }
 }
 
 void ListEstimators() {
   std::printf("registered estimators:\n");
-  for (const EstimatorSpec& spec : RegisteredEstimators()) {
-    std::printf("  %-17s %-10s %s\n", spec.name, spec.metric, spec.summary);
+  for (const SinkInfo& info : RegisteredSinks(SinkKind::kEstimator)) {
+    std::printf("  %-17s %-10s %s\n", info.name, info.metric, info.summary);
     std::printf("  %-17s   default substrate %s; compatible:", "",
-                spec.default_substrate);
-    for (const char* substrate : spec.substrates) {
+                info.default_substrate);
+    for (const char* substrate : CompatibleSubstrates(info)) {
       std::printf(" %s", substrate);
     }
     std::printf("\n");
@@ -233,15 +231,10 @@ struct ShardedRun {
 /// merged sample/estimate plus per-shard throughput. Returns the process
 /// exit code.
 int RunSharded(const ShardedRun& run, bool timestamped) {
-  // Fresh shards are Sinks from the unified factory; resumed shards come
-  // back from the checkpoint as owning typed vectors. Either way the
-  // driver sees StreamSink* views and the merge sees typed views.
-  std::vector<Sink> fresh;
-  std::vector<std::unique_ptr<WindowSampler>> resumed_samplers;
-  std::vector<std::unique_ptr<WindowEstimator>> resumed_estimators;
-  std::vector<StreamSink*> sinks;
-  std::vector<WindowSampler*> sampler_views;
-  std::vector<WindowEstimator*> estimator_views;
+  // Fresh shards come from the sink factory, resumed ones from the
+  // checkpoint; either way the driver sees StreamSink* views and the merge
+  // sees typed views.
+  std::vector<Sink> shards;
   ResumedCheckpoint resumed;  // --resume: restored state + skip position
   const bool want_estimators = run.kind == SinkKind::kEstimator;
   if (run.checkpoint.resume) {
@@ -251,22 +244,23 @@ int RunSharded(const ShardedRun& run, bool timestamped) {
       return 1;
     }
     resumed = std::move(loaded).ValueOrDie();
-    if (want_estimators != !resumed.estimators.empty() ||
+    const SinkSpec& held = resumed.shards[0].spec;
+    const bool held_estimators = resumed.shards[0].sink.estimator != nullptr;
+    if (want_estimators != held_estimators ||
         resumed.sinks.size() != run.shards) {
       std::fprintf(stderr,
                    "--resume: checkpoint in %s holds %zu %s shard(s), but "
                    "the flags request %" PRIu64 " %s shard(s)\n",
                    run.checkpoint.dir.c_str(), resumed.sinks.size(),
-                   resumed.estimators.empty() ? "sampler" : "estimator",
-                   run.shards,
+                   held_estimators ? "estimator" : "sampler", run.shards,
                    want_estimators ? "estimator" : "sampler");
       return 2;
     }
-    if (resumed.name != run.spec.name) {
+    if (held.name != run.spec.name) {
       std::fprintf(stderr,
                    "--resume: checkpoint in %s holds \"%s\", but the flags "
                    "request \"%s\"\n",
-                   run.checkpoint.dir.c_str(), resumed.name.c_str(),
+                   run.checkpoint.dir.c_str(), held.name.c_str(),
                    run.spec.name.c_str());
       return 2;
     }
@@ -274,27 +268,25 @@ int RunSharded(const ShardedRun& run, bool timestamped) {
                  "resume: restored %s (%" PRIu64
                  " shard(s)) at %" PRIu64 " events; the checkpoint's "
                  "configuration is authoritative\n",
-                 resumed.name.c_str(), run.shards, resumed.position.items);
-    resumed_samplers = std::move(resumed.samplers);
-    resumed_estimators = std::move(resumed.estimators);
-    sinks = want_estimators
-                ? SinkPointers(resumed_estimators)
-                : SinkPointers(resumed_samplers);
-    sampler_views = SamplerPointers(resumed_samplers);
-    estimator_views = EstimatorPointers(resumed_estimators);
+                 held.name.c_str(), run.shards, resumed.position.items);
+    for (RestoredSink& shard : resumed.shards) {
+      shards.push_back(std::move(shard.sink));
+    }
   } else {
     auto created = CreateShardedSinks(run.spec, run.shards);
     if (!created.ok()) {
       std::fprintf(stderr, "%s\n", created.status().ToString().c_str());
       return 1;
     }
-    fresh = std::move(created).ValueOrDie();
-    sinks = SinkPointers(fresh);
-    if (want_estimators) {
-      estimator_views = EstimatorPointers(fresh).ValueOrDie();
-    } else {
-      sampler_views = SamplerPointers(fresh).ValueOrDie();
-    }
+    shards = std::move(created).ValueOrDie();
+  }
+  std::vector<StreamSink*> sinks = SinkPointers(shards);
+  std::vector<WindowSampler*> sampler_views;
+  std::vector<WindowEstimator*> estimator_views;
+  if (want_estimators) {
+    estimator_views = EstimatorPointers(shards).ValueOrDie();
+  } else {
+    sampler_views = SamplerPointers(shards).ValueOrDie();
   }
   // Sharded output only exists through the merge surface, so refuse
   // non-mergeable sinks up front instead of after ingesting the stream.
@@ -1029,26 +1021,7 @@ int main(int argc, char** argv) {
   options.batch_size = batch;
   StreamDriver driver(options);
 
-  // Resolve the sink through the unified factory, then let the batched
-  // driver own parsing and ingestion for both kinds; stdin mode adds
-  // periodic progress reports.
   Sink created_sink;
-  WindowSampler* sampler = nullptr;
-  WindowEstimator* estimator = nullptr;
-  StreamSink* sink = nullptr;
-  std::unique_ptr<WindowSampler> resumed_sampler;
-  std::unique_ptr<WindowEstimator> resumed_estimator;
-  if (!checkpoint.resume) {
-    auto made = CreateSink(spec);
-    if (!made.ok()) {
-      std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
-      return 1;
-    }
-    created_sink = std::move(made).ValueOrDie();
-    sampler = created_sink.sampler;
-    estimator = created_sink.estimator;
-    sink = created_sink.sink.get();
-  }
   ResumedCheckpoint resumed;  // --resume: restored state + skip position
   if (checkpoint.resume) {
     auto loaded = StreamDriver::ResumeFrom(checkpoint.dir);
@@ -1057,39 +1030,45 @@ int main(int argc, char** argv) {
       return 1;
     }
     resumed = std::move(loaded).ValueOrDie();
+    const SinkSpec& held = resumed.shards[0].spec;
     const bool want_estimator = kind.value() == SinkKind::kEstimator;
-    if (want_estimator != !resumed.estimators.empty() ||
-        resumed.sinks.size() != 1) {
+    const bool held_estimator = resumed.shards[0].sink.estimator != nullptr;
+    if (want_estimator != held_estimator || resumed.sinks.size() != 1) {
       std::fprintf(stderr,
                    "--resume: checkpoint in %s holds %zu %s shard(s), but "
                    "the flags request one %s\n",
                    checkpoint.dir.c_str(), resumed.sinks.size(),
-                   resumed.estimators.empty() ? "sampler" : "estimator",
+                   held_estimator ? "estimator" : "sampler",
                    want_estimator ? "estimator" : "sampler");
       return 2;
     }
-    if (resumed.name != spec.name) {
+    if (held.name != spec.name) {
       std::fprintf(stderr,
                    "--resume: checkpoint in %s holds \"%s\", but the flags "
                    "request \"%s\"\n",
-                   checkpoint.dir.c_str(), resumed.name.c_str(),
+                   checkpoint.dir.c_str(), held.name.c_str(),
                    spec.name.c_str());
       return 2;
     }
     std::fprintf(stderr,
                  "resume: restored %s at %" PRIu64 " events; the "
                  "checkpoint's configuration is authoritative\n",
-                 resumed.name.c_str(), resumed.position.items);
-    if (want_estimator) {
-      resumed_estimator = std::move(resumed.estimators[0]);
-      estimator = resumed_estimator.get();
-      sink = estimator;
-    } else {
-      resumed_sampler = std::move(resumed.samplers[0]);
-      sampler = resumed_sampler.get();
-      sink = sampler;
+                 held.name.c_str(), resumed.position.items);
+    created_sink = std::move(resumed.shards[0].sink);
+  } else {
+    auto made = CreateSink(spec);
+    if (!made.ok()) {
+      std::fprintf(stderr, "%s\n", made.status().ToString().c_str());
+      return 1;
     }
+    created_sink = std::move(made).ValueOrDie();
   }
+  // Resolved through the sink factory or restored from a checkpoint; the
+  // batched driver owns parsing and ingestion for both kinds, and stdin
+  // mode adds periodic progress reports.
+  WindowSampler* sampler = created_sink.sampler;
+  WindowEstimator* estimator = created_sink.estimator;
+  StreamSink* sink = created_sink.sink.get();
 
   Result<DriveReport> result = Status::InvalidArgument("unset");
   if (!checkpoint.dir.empty()) {

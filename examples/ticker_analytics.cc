@@ -5,7 +5,8 @@
 //   build/examples/ticker_analytics
 //
 // Maintains, over the last 16384 trades:
-//  * a windowed mean price via the Theorem 5.1 adapter on a k-sample;
+//  * a windowed mean price: a single-level biased-mean over a 128-sample,
+//    i.e. the sample mean run on a window sampler (Theorem 5.1);
 //  * the "repeat rate" (self-join size F_2 of the symbol distribution,
 //    Corollary 5.2) which spikes when one symbol dominates trading;
 //  * the symbol entropy (Corollary 5.4) which drops at the same moment.
@@ -14,38 +15,28 @@
 
 #include <cstdio>
 
-#include "apps/estimator_registry.h"
-#include "core/seq_swr.h"
-#include "core/sliding_adapter.h"
+#include "apps/sink_spec.h"
 #include "stream/value_gen.h"
 #include "util/rng.h"
 
 using namespace swsample;
 
+namespace {
+
+Sink MakeSink(const char* text) {
+  return CreateSink(ParseSinkSpec(text).ValueOrDie()).ValueOrDie();
+}
+
+}  // namespace
+
 int main() {
   const uint64_t n = 16384;
-  auto price_sampler = SequenceSwrSampler::Create(n, 128, 1).ValueOrDie();
-  SlidingAdapter price_mean(std::move(price_sampler),
-                            [](const std::vector<Item>& sample) {
-                              double acc = 0;
-                              for (const Item& item : sample) {
-                                acc += static_cast<double>(item.value);
-                              }
-                              return sample.empty()
-                                         ? 0.0
-                                         : acc / static_cast<double>(
-                                                     sample.size());
-                            });
-  // Both symbol estimators come from the estimator registry; swap the
-  // substrate string to run them over any other compatible sampler.
-  EstimatorConfig config;
-  config.substrate = "bop-seq-single";
-  config.window_n = n;
-  config.r = 512;
-  config.seed = 2;
-  auto repeat_rate = CreateEstimator("ams-fk", config).ValueOrDie();
-  config.seed = 3;
-  auto entropy = CreateEstimator("ccm-entropy", config).ValueOrDie();
+  // Every estimator comes from the sink table; swap the @substrate to run
+  // one over any other compatible sampler.
+  Sink price_mean =
+      MakeSink("biased-mean@bop-seq-swr,n=16384,r=128,seed=1,bias=16384:1");
+  Sink repeat_rate = MakeSink("ams-fk@bop-seq-single,n=16384,r=512,seed=2");
+  Sink entropy = MakeSink("ccm-entropy@bop-seq-single,n=16384,r=512,seed=3");
 
   auto symbols = ZipfValues::Create(64, 0.9).ValueOrDie();
   Rng rng(11);
@@ -58,17 +49,18 @@ int main() {
         (flash && rng.Bernoulli(0.9)) ? 7 : symbols->Next(rng);
     uint64_t price = (flash ? 300 : 500) + rng.UniformIndex(20);
 
-    price_mean.Observe(Item{price, i, static_cast<Timestamp>(i)});
-    repeat_rate->Observe(Item{symbol, i, static_cast<Timestamp>(i)});
-    entropy->Observe(Item{symbol, i, static_cast<Timestamp>(i)});
+    price_mean.sink->Observe(Item{price, i, static_cast<Timestamp>(i)});
+    repeat_rate.sink->Observe(Item{symbol, i, static_cast<Timestamp>(i)});
+    entropy.sink->Observe(Item{symbol, i, static_cast<Timestamp>(i)});
 
     if ((i + 1) % n == 0) {
       std::printf(
           "trade %6lu %s  mean-price=%6.1f  F2(symbols)=%10.0f  "
           "H(symbols)=%5.2f bits\n",
           (unsigned long)(i + 1), flash ? "[flash]" : "       ",
-          price_mean.Estimate(), repeat_rate->Estimate().value,
-          entropy->Estimate().value);
+          price_mean.estimator->Estimate().value,
+          repeat_rate.estimator->Estimate().value,
+          entropy.estimator->Estimate().value);
     }
   }
   std::printf(

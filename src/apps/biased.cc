@@ -6,18 +6,15 @@
 #include <cmath>
 #include <utility>
 
-#include "core/registry.h"
+#include "apps/sink_spec.h"
 #include "stream/item_serial.h"
 
 namespace swsample {
 
-Result<std::unique_ptr<StepBiasedSampler>> StepBiasedSampler::Create(
-    std::vector<BiasLevel> levels, uint64_t seed,
-    const std::string& substrate, uint64_t level_k) {
+Status StepBiasedSampler::CheckLevels(const std::vector<BiasLevel>& levels) {
   if (levels.empty()) {
     return Status::InvalidArgument("StepBiasedSampler: need >= 1 level");
   }
-  double total = 0.0;
   for (size_t i = 0; i < levels.size(); ++i) {
     if (levels[i].window < 1) {
       return Status::InvalidArgument(
@@ -31,25 +28,52 @@ Result<std::unique_ptr<StepBiasedSampler>> StepBiasedSampler::Create(
       return Status::InvalidArgument(
           "StepBiasedSampler: weights must be positive and finite");
     }
-    total += levels[i].weight;
   }
-  const SamplerSpec* spec = FindSamplerSpec(substrate);
-  if (spec == nullptr || spec->model != WindowModel::kSequence) {
+  return Status::Ok();
+}
+
+Result<std::unique_ptr<StepBiasedSampler>> StepBiasedSampler::Create(
+    std::vector<BiasLevel> levels, uint64_t seed,
+    const std::string& substrate, uint64_t level_k) {
+  if (Status status = CheckLevels(levels); !status.ok()) return status;
+  const SinkInfo* info = FindSink(substrate);
+  if (info == nullptr || info->kind != SinkKind::kSampler ||
+      info->model != WindowModel::kSequence) {
     return Status::InvalidArgument(
         "StepBiasedSampler: substrate must be a registered sequence-model "
         "sampler, got \"" + substrate + "\"");
   }
+  std::vector<std::unique_ptr<WindowSampler>> samplers;
+  samplers.reserve(levels.size());
+  SinkSpec spec;
+  spec.name = substrate;
+  spec.k = info->single_sample ? 1 : level_k;
+  for (size_t i = 0; i < levels.size(); ++i) {
+    spec.window_n = levels[i].window;
+    spec.seed = Rng::ForkSeed(seed, i + 1);
+    auto sink = CreateSink(spec);
+    if (!sink.ok()) return sink.status();
+    sink.value().sink.release();
+    samplers.emplace_back(sink.value().sampler);
+  }
+  return Create(std::move(levels), seed, std::move(samplers));
+}
+
+Result<std::unique_ptr<StepBiasedSampler>> StepBiasedSampler::Create(
+    std::vector<BiasLevel> levels, uint64_t seed,
+    std::vector<std::unique_ptr<WindowSampler>> samplers) {
+  if (Status status = CheckLevels(levels); !status.ok()) return status;
+  if (samplers.size() != levels.size()) {
+    return Status::InvalidArgument(
+        "StepBiasedSampler: need one sampler per level");
+  }
+  double total = 0.0;
+  for (const BiasLevel& level : levels) total += level.weight;
   for (auto& level : levels) level.weight /= total;
   auto sampler = std::unique_ptr<StepBiasedSampler>(
       new StepBiasedSampler(std::move(levels), seed));
-  for (size_t i = 0; i < sampler->levels_.size(); ++i) {
-    SamplerConfig config;
-    config.window_n = sampler->levels_[i].window;
-    config.k = spec->single_sample ? 1 : level_k;
-    config.seed = Rng::ForkSeed(seed, i + 1);
-    auto level_sampler = CreateSampler(substrate, config);
-    if (!level_sampler.ok()) return level_sampler.status();
-    sampler->samplers_.push_back(std::move(level_sampler).ValueOrDie());
+  for (auto& level_sampler : samplers) {
+    sampler->samplers_.push_back(std::move(level_sampler));
   }
   return sampler;
 }

@@ -13,9 +13,9 @@
 // levels) are proportionally more likely — a staircase approximation of
 // any monotone bias function.
 //
-// The per-level samplers are any SEQUENCE-model substrate from the sampler
-// registry; the estimator wrapper ("biased-mean") reports the step-bias-
-// weighted window mean  sum_l w_l * mean(W_l).
+// The per-level samplers are any SEQUENCE-model sampler from the sink
+// table (apps/sink_spec.h); the estimator wrapper ("biased-mean") reports
+// the step-bias-weighted window mean  sum_l w_l * mean(W_l).
 
 #ifndef SWSAMPLE_APPS_BIASED_H_
 #define SWSAMPLE_APPS_BIASED_H_
@@ -51,6 +51,16 @@ class StepBiasedSampler {
   static Result<std::unique_ptr<StepBiasedSampler>> Create(
       std::vector<BiasLevel> levels, uint64_t seed,
       const std::string& substrate = "bop-seq-swr", uint64_t level_k = 1);
+
+  /// As above over caller-built level samplers: `samplers[i]` must be a
+  /// sequence-model sampler over window `levels[i].window`.
+  static Result<std::unique_ptr<StepBiasedSampler>> Create(
+      std::vector<BiasLevel> levels, uint64_t seed,
+      std::vector<std::unique_ptr<WindowSampler>> samplers);
+
+  /// InvalidArgument unless `levels` is non-empty with windows >= 1,
+  /// strictly increasing, and positive finite weights.
+  static Status CheckLevels(const std::vector<BiasLevel>& levels);
 
   /// Feeds one arrival.
   void Observe(const Item& item);

@@ -9,13 +9,12 @@
 /// StreamSink, so the batched StreamDriver pumps it unchanged) and answers
 /// queries with a typed EstimateReport instead of a raw sample set.
 ///
-/// Estimators are constructed by name through the estimator registry
-/// (apps/estimator_registry.h), which pairs each estimator with a sampling
-/// substrate named by its sampler-registry string.
+/// Estimators are constructed by name through the sink table
+/// (apps/sink_spec.h): a spec `name@substrate` pairs each estimator with a
+/// sampling substrate named by its sampler name.
 ///
-/// Ownership: estimators come out of `CreateEstimator` as
-/// `Result<std::unique_ptr<WindowEstimator>>` and are owned by the caller;
-/// an estimator owns its substrate outright.
+/// Ownership: estimators come out of `CreateSink` inside a caller-owned
+/// Sink; an estimator owns its substrate outright.
 ///
 /// Thread-safety: an estimator is NOT thread-safe — one thread per
 /// instance, like every StreamSink. The sharded driver runs one replica

@@ -8,7 +8,7 @@
 // estimate of F_k = sum_i x_i^k. The paper's point (Theorem 5.1) is that
 // replacing AMS's reservoir with a sliding-window sampler transfers the
 // algorithm to windows with no loss in the memory guarantee; this class is
-// that transfer over any payload-capable substrate (registry name
+// that transfer over any payload-capable substrate (sink name
 // "ams-fk"): sequence units, timestamp units with the DGIM n-hat, or the
 // exact-window oracle.
 

@@ -6,12 +6,12 @@
 // A payload estimator needs r independent draws of (uniform window
 // position, forward-accumulated payload) plus a window-size estimate. The
 // paper provides that pair for three substrate families, each selected by
-// a sampler-registry name:
+// a sampler name:
 //
 //  * kSeqUnits ("bop-seq-single"/"bop-seq-swr"): r PayloadWindowUnits —
 //    the Section 2.1 bucket-pair single-sample scheme; Theorem 2.1's
 //    k-sample with replacement IS k independent copies of it, so both
-//    registry names construct the same structure. O(r) words; exact n.
+//    names construct the same structure. O(r) words; exact n.
 //  * kTsUnits ("bop-ts-single"/"bop-ts-swr"): r TsPayloadUnits — the
 //    Section 3 structure with payloads on its O(log n) candidates — plus a
 //    DGIM exponential histogram for the window size, which is unknowable

@@ -11,7 +11,7 @@
 // sequence windows (Theorem 2.2) or O(k log n) on timestamp windows
 // (Theorem 4.4), where previous methods paid randomized bounds.
 //
-// The class is sampler-agnostic: registry name "dkw-quantile" pairs it
+// The class is sampler-agnostic: sink name "dkw-quantile" pairs it
 // with EVERY registered sampler substrate; construct it directly with ANY
 // WindowSampler (preferably without-replacement).
 

@@ -2,18 +2,39 @@
 
 #include "apps/sink_spec.h"
 
+#include <algorithm>
 #include <cerrno>
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <type_traits>
+#include <utility>
 
-#include "apps/estimator_checkpoint.h"
+#include "apps/entropy.h"
+#include "apps/freq_moments.h"
+#include "apps/payload_substrate.h"
+#include "apps/quantiles.h"
+#include "apps/triangles.h"
+#include "apps/window_count.h"
+#include "baseline/bounded_priority_sampler.h"
+#include "baseline/chain_sampler.h"
+#include "baseline/exact_window.h"
+#include "baseline/oversampler.h"
+#include "baseline/priority_sampler.h"
 #include "core/checkpoint.h"
+#include "core/seq_swor.h"
+#include "core/seq_swr.h"
+#include "core/ts_single.h"
+#include "core/ts_swor.h"
+#include "core/ts_swr.h"
 #include "util/rng.h"
 #include "util/serial.h"
 
 namespace swsample {
+
+// --- The spec grammar ---------------------------------------------------
 
 namespace {
 
@@ -87,31 +108,6 @@ bool ParseBiasLevels(std::string_view value, std::vector<BiasLevel>* out) {
 }
 
 }  // namespace
-
-Result<SinkKind> SinkKindOf(std::string_view name) {
-  if (FindSamplerSpec(name) != nullptr) return SinkKind::kSampler;
-  if (FindEstimatorSpec(name) != nullptr) return SinkKind::kEstimator;
-  return Status::InvalidArgument("unknown sink \"" + std::string(name) +
-                                 "\"; registered: " + RegisteredSinkNames());
-}
-
-Result<WindowModel> SinkWindowModel(const SinkSpec& spec) {
-  auto kind = SinkKindOf(spec.name);
-  if (!kind.ok()) return kind.status();
-  if (kind.value() == SinkKind::kSampler) {
-    return FindSamplerSpec(spec.name)->model;
-  }
-  const EstimatorSpec* estimator = FindEstimatorSpec(spec.name);
-  const std::string substrate_name =
-      spec.substrate.empty() ? estimator->default_substrate : spec.substrate;
-  const SamplerSpec* substrate = FindSamplerSpec(substrate_name);
-  if (substrate == nullptr) {
-    return Status::InvalidArgument(
-        spec.name + ": unknown substrate \"" + substrate_name +
-        "\"; registered samplers: " + RegisteredSamplerNames());
-  }
-  return substrate->model;
-}
 
 Result<SinkSpec> ParseSinkSpec(std::string_view text) {
   SinkSpec spec;
@@ -242,120 +238,542 @@ std::string FormatSinkSpec(const SinkSpec& spec) {
   return out;
 }
 
-SamplerConfig ToSamplerConfig(const SinkSpec& spec) {
-  SamplerConfig config;
-  config.window_n = spec.window_n;
-  config.window_t = spec.window_t;
-  config.k = spec.k;
-  config.seed = spec.seed;
-  config.oversample_factor = spec.oversample_factor;
-  config.with_replacement = spec.with_replacement;
-  return config;
-}
 
-EstimatorConfig ToEstimatorConfig(const SinkSpec& spec) {
-  EstimatorConfig config;
-  config.substrate = spec.substrate;
-  config.window_n = spec.window_n;
-  config.window_t = spec.window_t;
-  config.r = spec.r;
-  config.seed = spec.seed;
-  config.moment = spec.moment;
-  config.num_vertices = spec.num_vertices;
-  config.count_eps = spec.count_eps;
-  config.q = spec.q;
-  config.bias_levels = spec.bias_levels;
-  config.oversample_factor = spec.oversample_factor;
-  return config;
-}
+// --- The sink table -----------------------------------------------------
 
-SinkSpec SamplerSinkSpec(std::string_view name, const SamplerConfig& config) {
-  SinkSpec spec;
-  spec.name = std::string(name);
-  spec.window_n = config.window_n;
-  spec.window_t = config.window_t;
-  spec.k = config.k;
-  spec.seed = config.seed;
-  spec.oversample_factor = config.oversample_factor;
-  spec.with_replacement = config.with_replacement;
-  return spec;
-}
+namespace {
 
-SinkSpec EstimatorSinkSpec(std::string_view name,
-                           const EstimatorConfig& config) {
-  SinkSpec spec;
-  spec.name = std::string(name);
-  spec.substrate = config.substrate;
-  spec.window_n = config.window_n;
-  spec.window_t = config.window_t;
-  spec.r = config.r;
-  spec.seed = config.seed;
-  spec.moment = config.moment;
-  spec.num_vertices = config.num_vertices;
-  spec.count_eps = config.count_eps;
-  spec.q = config.q;
-  spec.bias_levels = config.bias_levels;
-  spec.oversample_factor = config.oversample_factor;
-  return spec;
-}
+/// A constructor bound to everything but the seed.
+using SinkMaker = std::function<Result<Sink>(uint64_t seed)>;
 
-Result<Sink> CreateSink(const SinkSpec& spec) {
-  auto kind = SinkKindOf(spec.name);
-  if (!kind.ok()) return kind.status();
+struct Entry;
+
+/// Sampler rows: constructs the sampler a validated `spec` describes, with
+/// `seed` in place of spec.seed.
+using MakeFn = Result<Sink> (*)(const SinkSpec& spec, uint64_t seed);
+
+/// Estimator rows: binds a validated `spec` over its resolved substrate
+/// row into a maker, resolving every derived substrate spec once.
+using BindFn = Result<SinkMaker> (*)(const SinkSpec& spec,
+                                     const Entry& substrate);
+
+/// One row of the table: the public description plus its maker.
+struct Entry {
+  SinkInfo info;
+  MakeFn make;  ///< samplers only
+  BindFn bind;  ///< estimators only
+};
+
+/// Wraps a constructed sampler or estimator into a Sink with its view.
+template <typename T>
+Result<Sink> AsSink(Result<std::unique_ptr<T>> made) {
+  if (!made.ok()) return made.status();
   Sink out;
-  if (kind.value() == SinkKind::kSampler) {
-    auto sampler = CreateSampler(spec.name, ToSamplerConfig(spec));
-    if (!sampler.ok()) return sampler.status();
-    out.sampler = sampler.value().get();
-    out.sink = std::move(sampler).ValueOrDie();
+  if constexpr (std::is_base_of_v<WindowSampler, T>) {
+    out.sampler = made.value().get();
   } else {
-    auto estimator = CreateEstimator(spec.name, ToEstimatorConfig(spec));
-    if (!estimator.ok()) return estimator.status();
-    out.estimator = estimator.value().get();
-    out.sink = std::move(estimator).ValueOrDie();
+    out.estimator = made.value().get();
+  }
+  out.sink = std::move(made).ValueOrDie();
+  return out;
+}
+
+/// Moves the sampler out of a sampler Sink as an owning typed pointer.
+std::unique_ptr<WindowSampler> TakeSampler(Sink sink) {
+  sink.sink.release();
+  return std::unique_ptr<WindowSampler>(sink.sampler);
+}
+
+/// The Section 2.1 single-sample procedure: a k=1 with-replacement unit
+/// exposed under its own name. Forwards the batched fast path.
+class SeqSingleSampler final : public WindowSampler {
+ public:
+  explicit SeqSingleSampler(std::unique_ptr<SequenceSwrSampler> inner)
+      : inner_(std::move(inner)) {}
+
+  void Observe(const Item& item) override { inner_->Observe(item); }
+  void ObserveBatch(std::span<const Item> items) override {
+    inner_->ObserveBatch(items);
+  }
+  void AdvanceTime(Timestamp now) override { inner_->AdvanceTime(now); }
+  std::vector<Item> Sample() override { return inner_->Sample(); }
+  uint64_t MemoryWords() const override { return inner_->MemoryWords(); }
+  uint64_t RetainedBytes() const override { return inner_->RetainedBytes(); }
+  uint64_t k() const override { return 1; }
+  const char* name() const override { return "bop-seq-single"; }
+  bool mergeable() const override { return true; }
+  Result<SamplerSnapshot> Snapshot() override { return inner_->Snapshot(); }
+  bool persistable() const override { return true; }
+  void SaveState(BinaryWriter* w) const override { inner_->SaveState(w); }
+  bool LoadState(BinaryReader* r) override { return inner_->LoadState(r); }
+
+ private:
+  std::unique_ptr<SequenceSwrSampler> inner_;
+};
+
+/// The payload-capable samplers and the substrate family each builds: the
+/// k-sample with-replacement names alias the single-sample schemes because
+/// Theorems 2.1/3.9 build them as k independent copies.
+struct PayloadName {
+  const char* name;
+  SubstrateKind kind;
+};
+constexpr PayloadName kPayloadNames[] = {
+    {"bop-seq-single", SubstrateKind::kSeqUnits},
+    {"bop-seq-swr", SubstrateKind::kSeqUnits},
+    {"bop-ts-single", SubstrateKind::kTsUnits},
+    {"bop-ts-swr", SubstrateKind::kTsUnits},
+    {"exact-seq", SubstrateKind::kExactSeq},
+    {"exact-ts", SubstrateKind::kExactTs},
+};
+
+const PayloadName* FindPayloadName(std::string_view name) {
+  for (const PayloadName& payload : kPayloadNames) {
+    if (name == payload.name) return &payload;
+  }
+  return nullptr;
+}
+
+PayloadSubstrateParams PayloadParams(const SinkSpec& spec, SubstrateKind kind,
+                                     uint64_t seed) {
+  PayloadSubstrateParams params;
+  params.kind = kind;
+  params.window_n = spec.window_n;
+  params.window_t = spec.window_t;
+  params.r = spec.r;
+  params.count_eps = spec.count_eps;
+  params.seed = seed;
+  return params;
+}
+
+/// Binds a payload estimator: `make(params, spec)` builds it over the
+/// substrate family the row resolved.
+template <Result<Sink> (*Make)(const PayloadSubstrateParams&,
+                               const SinkSpec&)>
+Result<SinkMaker> BindPayload(const SinkSpec& spec, const Entry& substrate) {
+  const SubstrateKind kind = FindPayloadName(substrate.info.name)->kind;
+  return SinkMaker([spec, kind](uint64_t seed) {
+    return Make(PayloadParams(spec, kind, seed), spec);
+  });
+}
+
+Result<Sink> MakeFk(const PayloadSubstrateParams& params,
+                    const SinkSpec& spec) {
+  return AsSink(FkEstimator::Create(params, spec.moment));
+}
+
+Result<Sink> MakeEntropy(const PayloadSubstrateParams& params,
+                         const SinkSpec&) {
+  return AsSink(EntropyEstimator::Create(params));
+}
+
+Result<Sink> MakeTriangles(const PayloadSubstrateParams& params,
+                           const SinkSpec& spec) {
+  return AsSink(TriangleEstimator::Create(params, spec.num_vertices));
+}
+
+Result<SinkMaker> BindQuantile(const SinkSpec& spec, const Entry& substrate) {
+  // A single-sample substrate cannot honor a DKW sample size r > 1, and
+  // silently degrading the rank guarantee would betray the estimator's
+  // name — require the caller to opt into r = 1 explicitly.
+  if (substrate.info.single_sample && spec.r != 1) {
+    return Status::InvalidArgument(
+        std::string("dkw-quantile: substrate ") + substrate.info.name +
+        " maintains a single sample; set config.r = 1 (the rank guarantee"
+        " then degenerates to a uniform window position)");
+  }
+  // The substrate draws k = r, without replacement where it offers the
+  // choice: quantiles want distinct ranks.
+  SinkSpec sample;
+  sample.name = substrate.info.name;
+  sample.window_n = spec.window_n;
+  sample.window_t = spec.window_t;
+  sample.k = spec.r;
+  sample.oversample_factor = spec.oversample_factor;
+  sample.with_replacement = false;
+  return SinkMaker([sample, make = substrate.make,
+                    q = spec.q](uint64_t seed) -> Result<Sink> {
+    auto sampler = make(sample, seed);
+    if (!sampler.ok()) return sampler.status();
+    return AsSink(QuantileEstimator::Create(
+        TakeSampler(std::move(sampler).ValueOrDie()), q));
+  });
+}
+
+Result<SinkMaker> BindBiasedMean(const SinkSpec& spec,
+                                 const Entry& substrate) {
+  std::vector<BiasLevel> levels = spec.bias_levels;
+  if (levels.empty()) {
+    // Default staircase: recent quarter window at equal weight with the
+    // full window (degenerates to one level for tiny windows).
+    const uint64_t quarter = spec.window_n / 4;
+    if (quarter >= 1 && quarter < spec.window_n) {
+      levels.push_back(BiasLevel{quarter, 1.0});
+    }
+    levels.push_back(BiasLevel{spec.window_n, 1.0});
+  }
+  if (Status status = StepBiasedSampler::CheckLevels(levels); !status.ok()) {
+    return status;
+  }
+  // One substrate sampler per level window; single-sample substrates keep
+  // one sample per level, the others keep r.
+  std::vector<SinkSpec> level_specs(levels.size());
+  for (size_t i = 0; i < levels.size(); ++i) {
+    level_specs[i].name = substrate.info.name;
+    level_specs[i].window_n = levels[i].window;
+    level_specs[i].k = substrate.info.single_sample ? 1 : spec.r;
+  }
+  return SinkMaker([levels = std::move(levels),
+                    level_specs = std::move(level_specs),
+                    make = substrate.make](uint64_t seed) -> Result<Sink> {
+    std::vector<std::unique_ptr<WindowSampler>> samplers;
+    samplers.reserve(level_specs.size());
+    for (size_t i = 0; i < level_specs.size(); ++i) {
+      auto sampler = make(level_specs[i], Rng::ForkSeed(seed, i + 1));
+      if (!sampler.ok()) return sampler.status();
+      samplers.push_back(TakeSampler(std::move(sampler).ValueOrDie()));
+    }
+    auto biased = StepBiasedSampler::Create(levels, seed, std::move(samplers));
+    if (!biased.ok()) return biased.status();
+    return AsSink(
+        BiasedMeanEstimator::Create(std::move(biased).ValueOrDie()));
+  });
+}
+
+Result<SinkMaker> BindWindowCount(const SinkSpec& spec,
+                                  const Entry& substrate) {
+  WindowCountEstimator::Mode mode;
+  if (substrate.info.model == WindowModel::kSequence) {
+    mode = WindowCountEstimator::Mode::kSequence;
+  } else if (std::string_view(substrate.info.name) == "exact-ts") {
+    mode = WindowCountEstimator::Mode::kTsExact;
+  } else {
+    mode = WindowCountEstimator::Mode::kTsHistogram;
+  }
+  return SinkMaker([mode, n = spec.window_n, t = spec.window_t,
+                    eps = spec.count_eps](uint64_t) {
+    return AsSink(WindowCountEstimator::Create(mode, n, t, eps));
+  });
+}
+
+constexpr Entry Sampler(const char* name, WindowModel model,
+                        bool single_sample, const char* summary,
+                        MakeFn make) {
+  return Entry{{name, SinkKind::kSampler, model, single_sample, "", "",
+                SubstrateSet::kNone, summary},
+               make,
+               nullptr};
+}
+
+constexpr Entry Estimator(const char* name, const char* metric,
+                          const char* default_substrate,
+                          WindowModel default_model, SubstrateSet substrates,
+                          const char* summary, BindFn bind) {
+  return Entry{{name, SinkKind::kEstimator, default_model, false, metric,
+                default_substrate, substrates, summary},
+               nullptr,
+               bind};
+}
+
+constexpr WindowModel kSeq = WindowModel::kSequence;
+constexpr WindowModel kTs = WindowModel::kTimestamp;
+
+/// THE table: every sink in the library, samplers first.
+constexpr Entry kSinks[] = {
+    Sampler("bop-seq-single", kSeq, /*single_sample=*/true,
+            "paper Sec 2.1 single sample, O(1) words",
+            [](const SinkSpec& s, uint64_t seed) -> Result<Sink> {
+              auto inner = SequenceSwrSampler::Create(s.window_n, 1, seed);
+              if (!inner.ok()) return inner.status();
+              return AsSink<SeqSingleSampler>(
+                  std::make_unique<SeqSingleSampler>(
+                      std::move(inner).ValueOrDie()));
+            }),
+    Sampler("bop-seq-swr", kSeq, false,
+            "paper Thm 2.1 k-sample with replacement, O(k) words",
+            [](const SinkSpec& s, uint64_t seed) {
+              return AsSink(SequenceSwrSampler::Create(s.window_n, s.k, seed));
+            }),
+    Sampler("bop-seq-swor", kSeq, false,
+            "paper Thm 2.2 k-sample without replacement, O(k) words",
+            [](const SinkSpec& s, uint64_t seed) {
+              return AsSink(SequenceSworSampler::Create(s.window_n, s.k, seed));
+            }),
+    Sampler("bop-ts-single", kTs, /*single_sample=*/true,
+            "paper Sec 3 single sample, O(log n) words",
+            [](const SinkSpec& s, uint64_t seed) -> Result<Sink> {
+              // TsSingleSampler implements WindowSampler directly.
+              auto inner = TsSingleSampler::Create(s.window_t, seed);
+              if (!inner.ok()) return inner.status();
+              return AsSink<TsSingleSampler>(std::make_unique<TsSingleSampler>(
+                  std::move(inner).ValueOrDie()));
+            }),
+    Sampler("bop-ts-swr", kTs, false,
+            "paper Thm 3.9 k-sample with replacement, O(k log n) words",
+            [](const SinkSpec& s, uint64_t seed) {
+              return AsSink(TsSwrSampler::Create(s.window_t, s.k, seed));
+            }),
+    Sampler("bop-ts-swor", kTs, false,
+            "paper Thm 4.4 k-sample without replacement, O(k log n) words",
+            [](const SinkSpec& s, uint64_t seed) {
+              return AsSink(TsSworSampler::Create(s.window_t, s.k, seed));
+            }),
+    Sampler("bdm-chain", kSeq, false,
+            "Babcock-Datar-Motwani chain sampling (randomized memory)",
+            [](const SinkSpec& s, uint64_t seed) {
+              return AsSink(ChainSampler::Create(s.window_n, s.k, seed));
+            }),
+    Sampler("oversample-swor", kSeq, false,
+            "over-sampling SWOR baseline (may fail to return k distinct)",
+            [](const SinkSpec& s, uint64_t seed) {
+              return AsSink(OverSampler::Create(
+                  s.window_n, s.k, s.oversample_factor, seed));
+            }),
+    Sampler("exact-seq", kSeq, false, "exact full-window oracle, O(n) words",
+            [](const SinkSpec& s, uint64_t seed) {
+              return AsSink(ExactWindow::CreateSequence(
+                  s.window_n, s.k, s.with_replacement, seed));
+            }),
+    Sampler("bdm-priority", kTs, false,
+            "Babcock-Datar-Motwani priority sampling (randomized memory)",
+            [](const SinkSpec& s, uint64_t seed) {
+              return AsSink(PrioritySampler::Create(s.window_t, s.k, seed));
+            }),
+    Sampler("gl-bounded-priority", kTs, false,
+            "Gemulla-Lehner bounded priority SWOR (randomized memory)",
+            [](const SinkSpec& s, uint64_t seed) {
+              return AsSink(
+                  BoundedPrioritySampler::Create(s.window_t, s.k, seed));
+            }),
+    Sampler("exact-ts", kTs, false, "exact full-window oracle, O(window) words",
+            [](const SinkSpec& s, uint64_t seed) {
+              return AsSink(ExactWindow::CreateTimestamp(
+                  s.window_t, s.k, s.with_replacement, seed));
+            }),
+    Estimator("ams-fk", "F_k", "bop-seq-single", kSeq, SubstrateSet::kPayload,
+              "AMS frequency moment F_k over a sliding window (Cor 5.2)",
+              BindPayload<MakeFk>),
+    Estimator("ccm-entropy", "H-bits", "bop-seq-single", kSeq,
+              SubstrateSet::kPayload,
+              "CCM empirical entropy (bits) over a sliding window (Cor 5.4)",
+              BindPayload<MakeEntropy>),
+    Estimator(
+        "buriol-triangles", "T3", "bop-seq-single", kSeq,
+        SubstrateSet::kPayload,
+        "Buriol et al. triangle count over a sliding edge window (Cor 5.3)",
+        BindPayload<MakeTriangles>),
+    Estimator("dkw-quantile", "q-quantile", "bop-seq-swor", kSeq,
+              SubstrateSet::kAll,
+              "windowed quantile from a k-sample, DKW rank error (Thm 5.1)",
+              BindQuantile),
+    Estimator("biased-mean", "biased-mean", "bop-seq-swr", kSeq,
+              SubstrateSet::kSequence,
+              "step-bias-weighted recency mean over nested windows (Sec 5)",
+              BindBiasedMean),
+    Estimator(
+        "window-count", "count", "bop-ts-single", kTs, SubstrateSet::kAll,
+        "active-element count: exact (sequence) or DGIM n-hat (timestamp)",
+        BindWindowCount),
+};
+
+const Entry* FindEntry(std::string_view name) {
+  for (const Entry& entry : kSinks) {
+    if (name == entry.info.name) return &entry;
+  }
+  return nullptr;
+}
+
+std::string NamesOf(SinkKind kind) {
+  std::string out;
+  for (const Entry& entry : kSinks) {
+    if (entry.info.kind != kind) continue;
+    if (!out.empty()) out += ", ";
+    out += entry.info.name;
   }
   return out;
 }
 
+Status UnknownSink(std::string_view name) {
+  return Status::InvalidArgument("unknown sink \"" + std::string(name) +
+                                 "\"; registered: " + RegisteredSinkNames());
+}
+
+/// A validated spec's rows: the named sink and, for estimators, the
+/// resolved substrate sampler.
+struct Resolved {
+  const Entry* entry;
+  const Entry* substrate;
+};
+
+/// The substrate row an estimator spec names (or defaults to); nullptr
+/// when the name is not a sampler.
+const Entry* SubstrateOf(const SinkSpec& spec, const SinkInfo& estimator) {
+  const Entry* substrate = FindEntry(spec.substrate.empty()
+                                         ? estimator.default_substrate
+                                         : std::string_view(spec.substrate));
+  return substrate != nullptr && substrate->info.kind == SinkKind::kSampler
+             ? substrate
+             : nullptr;
+}
+
+Status UnknownSubstrate(const SinkSpec& spec) {
+  return Status::InvalidArgument(
+      spec.name + ": unknown substrate \"" + spec.substrate +
+      "\"; registered samplers: " + NamesOf(SinkKind::kSampler));
+}
+
+/// Looks `spec` up and validates everything the table can check before a
+/// constructor runs: the window of the relevant model, k == 1 for
+/// single-sample samplers, and an estimator's substrate and r.
+Result<Resolved> Resolve(const SinkSpec& spec) {
+  const Entry* entry = FindEntry(spec.name);
+  if (entry == nullptr) return UnknownSink(spec.name);
+  const SinkInfo& info = entry->info;
+  if (info.kind == SinkKind::kSampler) {
+    if (info.model == WindowModel::kSequence && spec.window_n < 1) {
+      return Status::InvalidArgument(spec.name +
+                                     ": config.window_n must be >= 1");
+    }
+    if (info.model == WindowModel::kTimestamp && spec.window_t < 1) {
+      return Status::InvalidArgument(spec.name +
+                                     ": config.window_t must be >= 1");
+    }
+    if (info.single_sample && spec.k != 1) {
+      return Status::InvalidArgument(
+          spec.name + ": single-sample variant requires k == 1");
+    }
+    return Resolved{entry, nullptr};
+  }
+  const Entry* substrate = SubstrateOf(spec, info);
+  if (substrate == nullptr) return UnknownSubstrate(spec);
+  const char* substrate_name = substrate->info.name;
+  if (!AcceptsSubstrate(info, substrate_name)) {
+    std::string compatible;
+    for (const char* name : CompatibleSubstrates(info)) {
+      if (!compatible.empty()) compatible += ", ";
+      compatible += name;
+    }
+    return Status::InvalidArgument(
+        spec.name + ": substrate \"" + substrate_name +
+        "\" is not compatible; compatible substrates: " + compatible);
+  }
+  if (substrate->info.model == WindowModel::kSequence && spec.window_n < 1) {
+    return Status::InvalidArgument(spec.name +
+                                   ": config.window_n must be >= 1 for "
+                                   "sequence substrate " + substrate_name);
+  }
+  if (substrate->info.model == WindowModel::kTimestamp && spec.window_t < 1) {
+    return Status::InvalidArgument(spec.name +
+                                   ": config.window_t must be >= 1 for "
+                                   "timestamp substrate " + substrate_name);
+  }
+  if (spec.r < 1) {
+    return Status::InvalidArgument(spec.name + ": config.r must be >= 1");
+  }
+  return Resolved{entry, substrate};
+}
+
+/// Constructs a resolved spec. Samplers construct directly from the spec;
+/// estimators bind first (a one-shot bind copies the spec once).
+Result<Sink> Construct(const Resolved& resolved, const SinkSpec& spec) {
+  if (resolved.entry->make != nullptr) {
+    return resolved.entry->make(spec, spec.seed);
+  }
+  auto maker = resolved.entry->bind(spec, *resolved.substrate);
+  if (!maker.ok()) return maker.status();
+  return maker.value()(spec.seed);
+}
+
+}  // namespace
+
+std::vector<SinkInfo> RegisteredSinks(SinkKind kind) {
+  std::vector<SinkInfo> out;
+  for (const Entry& entry : kSinks) {
+    if (entry.info.kind == kind) out.push_back(entry.info);
+  }
+  return out;
+}
+
+const SinkInfo* FindSink(std::string_view name) {
+  const Entry* entry = FindEntry(name);
+  return entry == nullptr ? nullptr : &entry->info;
+}
+
+bool AcceptsSubstrate(const SinkInfo& estimator, std::string_view substrate) {
+  const SinkInfo* sampler = FindSink(substrate);
+  if (sampler == nullptr || sampler->kind != SinkKind::kSampler) return false;
+  switch (estimator.substrates) {
+    case SubstrateSet::kNone:
+      return false;
+    case SubstrateSet::kPayload:
+      return FindPayloadName(substrate) != nullptr;
+    case SubstrateSet::kAll:
+      return true;
+    case SubstrateSet::kSequence:
+      return sampler->model == WindowModel::kSequence;
+  }
+  return false;
+}
+
+std::vector<const char*> CompatibleSubstrates(const SinkInfo& estimator) {
+  std::vector<const char*> out;
+  for (const Entry& entry : kSinks) {
+    if (AcceptsSubstrate(estimator, entry.info.name)) {
+      out.push_back(entry.info.name);
+    }
+  }
+  return out;
+}
+
+Result<SinkKind> SinkKindOf(std::string_view name) {
+  const SinkInfo* info = FindSink(name);
+  if (info == nullptr) return UnknownSink(name);
+  return info->kind;
+}
+
+Result<WindowModel> SinkWindowModel(const SinkSpec& spec) {
+  const SinkInfo* info = FindSink(spec.name);
+  if (info == nullptr) return UnknownSink(spec.name);
+  if (info->kind == SinkKind::kSampler) return info->model;
+  const Entry* substrate = SubstrateOf(spec, *info);
+  if (substrate == nullptr) return UnknownSubstrate(spec);
+  return substrate->info.model;
+}
+
+Result<Sink> CreateSink(const SinkSpec& spec) {
+  auto resolved = Resolve(spec);
+  if (!resolved.ok()) return resolved.status();
+  return Construct(resolved.value(), spec);
+}
+
 Result<SinkFactory> SinkFactory::Bind(const SinkSpec& spec) {
-  auto kind = SinkKindOf(spec.name);
-  if (!kind.ok()) return kind.status();
+  auto resolved = Resolve(spec);
+  if (!resolved.ok()) return resolved.status();
+  const Entry& entry = *resolved.value().entry;
   SinkFactory factory;
   factory.spec_ = spec;
-  factory.kind_ = kind.value();
-  factory.sampler_config_ = ToSamplerConfig(spec);
-  factory.estimator_config_ = ToEstimatorConfig(spec);
-  // Probe construction front-loads every configuration error (it goes
-  // through CreateSampler/CreateEstimator, so window validation runs
-  // here once); afterwards Create can use the resolved maker directly.
+  factory.kind_ = entry.info.kind;
+  if (entry.make != nullptr) {
+    factory.make_ = [spec, make = entry.make](uint64_t seed) {
+      return make(spec, seed);
+    };
+  } else {
+    auto maker = entry.bind(spec, *resolved.value().substrate);
+    if (!maker.ok()) return maker.status();
+    factory.make_ = std::move(maker).ValueOrDie();
+  }
+  // The probe construction front-loads every error a constructor itself
+  // reports (e.g. k > n for SWOR).
   auto probe = factory.Create(spec.seed);
   if (!probe.ok()) return probe.status();
-  if (factory.kind_ == SinkKind::kSampler) {
-    factory.sampler_maker_ = FindSamplerMaker(spec.name);
-  }
   return factory;
 }
 
 Result<Sink> SinkFactory::Create(uint64_t seed) const {
-  Sink out;
-  if (kind_ == SinkKind::kSampler) {
-    SamplerConfig config = sampler_config_;
-    config.seed = seed;
-    auto sampler = sampler_maker_ != nullptr
-                       ? sampler_maker_(config)
-                       : CreateSampler(spec_.name, config);
-    if (!sampler.ok()) return sampler.status();
-    out.sampler = sampler.value().get();
-    out.sink = std::move(sampler).ValueOrDie();
-  } else {
-    EstimatorConfig config = estimator_config_;
-    config.seed = seed;
-    auto estimator = CreateEstimator(spec_.name, config);
-    if (!estimator.ok()) return estimator.status();
-    out.estimator = estimator.value().get();
-    out.sink = std::move(estimator).ValueOrDie();
+  if (!make_) {
+    return Status::FailedPrecondition("SinkFactory: Create before Bind");
   }
-  return out;
+  return make_(seed);
 }
 
 namespace {
@@ -417,65 +835,148 @@ Result<std::vector<Sink>> CreateShardedSinks(const SinkSpec& spec,
   return replicas;
 }
 
-Result<std::string> SaveSink(const StreamSink& sink, const SinkSpec& spec) {
-  auto kind = SinkKindOf(spec.name);
-  if (!kind.ok()) return kind.status();
-  if (kind.value() == SinkKind::kSampler) {
-    const auto* sampler = dynamic_cast<const WindowSampler*>(&sink);
-    if (sampler == nullptr) {
-      return Status::InvalidArgument(
-          "SaveSink: spec names sampler \"" + spec.name +
-          "\" but the sink is not a WindowSampler");
+// --- The envelope codec -------------------------------------------------
+
+namespace {
+
+/// Caps a corrupt bias-level count before allocation (levels are nested
+/// windows — a handful in any real configuration).
+constexpr uint64_t kMaxBiasLevels = 1024;
+
+/// The one allocation rule for specs read from untrusted envelopes: the
+/// counts that size a sink's unit arrays — k or r, times the oversampling
+/// factor, times the bias-level count — multiply to at most
+/// kMaxCheckpointUnits, so a forged envelope cannot make construction
+/// allocate without bound before its payload is checked. Each factor is
+/// capped first, so the product cannot overflow 64 bits.
+bool WithinUnitCap(uint64_t count, uint64_t oversample, uint64_t levels) {
+  levels = std::max<uint64_t>(levels, 1);
+  return count <= kMaxCheckpointUnits && oversample <= kMaxCheckpointUnits &&
+         levels <= kMaxBiasLevels &&
+         count * oversample * levels <= kMaxCheckpointUnits;
+}
+
+/// Envelope header plus the spec fields of `kind` (format version 1: six
+/// sampler fields, or the estimator fields with the substrate and bias
+/// levels).
+void PutSpec(const SinkSpec& spec, SinkKind kind, BinaryWriter* w) {
+  WriteCheckpointHeader(kind == SinkKind::kSampler ? CheckpointKind::kSampler
+                                                   : CheckpointKind::kEstimator,
+                        w);
+  w->PutString(spec.name);
+  if (kind == SinkKind::kSampler) {
+    w->PutU64(spec.window_n);
+    w->PutI64(spec.window_t);
+    w->PutU64(spec.k);
+    w->PutU64(spec.seed);
+    w->PutU64(spec.oversample_factor);
+    w->PutBool(spec.with_replacement);
+    return;
+  }
+  w->PutString(spec.substrate);
+  w->PutU64(spec.window_n);
+  w->PutI64(spec.window_t);
+  w->PutU64(spec.r);
+  w->PutU64(spec.seed);
+  w->PutU64(spec.moment);
+  w->PutU64(spec.num_vertices);
+  w->PutDouble(spec.count_eps);
+  w->PutDouble(spec.q);
+  w->PutU64(spec.oversample_factor);
+  w->PutU64(spec.bias_levels.size());
+  for (const BiasLevel& level : spec.bias_levels) {
+    w->PutU64(level.window);
+    w->PutDouble(level.weight);
+  }
+}
+
+/// Reads what PutSpec wrote after the header; false on truncation, on
+/// out-of-range fields, or on counts past WithinUnitCap.
+bool GetSpec(BinaryReader* r, CheckpointKind kind, SinkSpec* spec) {
+  if (!r->GetString(&spec->name)) return false;
+  if (kind == CheckpointKind::kSampler) {
+    return r->GetU64(&spec->window_n) && r->GetI64(&spec->window_t) &&
+           r->GetU64(&spec->k) && r->GetU64(&spec->seed) &&
+           r->GetU64(&spec->oversample_factor) &&
+           r->GetBool(&spec->with_replacement) &&
+           WithinUnitCap(spec->k, spec->oversample_factor, 0);
+  }
+  uint64_t moment = 0, vertices = 0, levels = 0;
+  if (!r->GetString(&spec->substrate) || !r->GetU64(&spec->window_n) ||
+      !r->GetI64(&spec->window_t) || !r->GetU64(&spec->r) ||
+      !r->GetU64(&spec->seed) || !r->GetU64(&moment) ||
+      !r->GetU64(&vertices) || !r->GetDouble(&spec->count_eps) ||
+      !r->GetDouble(&spec->q) || !r->GetU64(&spec->oversample_factor) ||
+      !r->GetU64(&levels)) {
+    return false;
+  }
+  if (moment > UINT32_MAX || vertices > UINT32_MAX ||
+      !std::isfinite(spec->count_eps) || !std::isfinite(spec->q) ||
+      !WithinUnitCap(spec->r, spec->oversample_factor, levels)) {
+    return false;
+  }
+  spec->moment = static_cast<uint32_t>(moment);
+  spec->num_vertices = static_cast<uint32_t>(vertices);
+  spec->bias_levels.clear();
+  for (uint64_t i = 0; i < levels; ++i) {
+    BiasLevel level;
+    if (!r->GetU64(&level.window) || !r->GetDouble(&level.weight)) {
+      return false;
     }
-    return SaveSampler(*sampler, ToSamplerConfig(spec));
+    spec->bias_levels.push_back(level);
   }
-  const auto* estimator = dynamic_cast<const WindowEstimator*>(&sink);
-  if (estimator == nullptr) {
-    return Status::InvalidArgument(
-        "SaveSink: spec names estimator \"" + spec.name +
-        "\" but the sink is not a WindowEstimator");
+  return true;
+}
+
+}  // namespace
+
+Result<std::string> SaveSink(const StreamSink& sink, const SinkSpec& spec) {
+  const Entry* entry = FindEntry(spec.name);
+  if (entry == nullptr) return UnknownSink(spec.name);
+  if (spec.name != sink.name()) {
+    return Status::InvalidArgument("SaveSink: spec names \"" + spec.name +
+                                   "\" but the sink is \"" + sink.name() +
+                                   "\"");
   }
-  return SaveEstimator(*estimator, ToEstimatorConfig(spec));
+  if (!sink.persistable()) {
+    return Status::FailedPrecondition(spec.name +
+                                      ": sink is not persistable");
+  }
+  BinaryWriter w;
+  PutSpec(spec, entry->info.kind, &w);
+  sink.SaveState(&w);
+  return w.Release();
 }
 
 Result<RestoredSink> RestoreSink(std::string_view blob) {
-  // Parse the envelope header once to recover the (name, config) pair the
-  // spec is lifted from, then let the kind's own restore function rebuild
-  // the object from the full blob.
-  BinaryReader header(blob);
+  BinaryReader r(blob);
   CheckpointKind kind;
-  if (!ReadCheckpointHeader(&header, &kind)) {
+  if (!ReadCheckpointHeader(&r, &kind)) {
     return Status::InvalidArgument(
         "RestoreSink: bad magic, unsupported version, or unknown kind");
   }
-  std::string name;
-  if (!header.GetString(&name)) {
-    return Status::InvalidArgument("RestoreSink: truncated envelope");
-  }
-  RestoredSink out;
-  if (kind == CheckpointKind::kSampler) {
-    SamplerConfig config;
-    if (!LoadSamplerConfig(&header, &config)) {
-      return Status::InvalidArgument("RestoreSink: truncated envelope");
-    }
-    auto sampler = RestoreSampler(blob);
-    if (!sampler.ok()) return sampler.status();
-    out.spec = SamplerSinkSpec(name, config);
-    out.sink.sampler = sampler.value().get();
-    out.sink.sink = std::move(sampler).ValueOrDie();
-  } else if (kind == CheckpointKind::kEstimator) {
-    EstimatorConfig config;
-    if (!LoadEstimatorConfig(&header, &config)) {
-      return Status::InvalidArgument("RestoreSink: truncated envelope");
-    }
-    auto estimator = RestoreEstimator(blob);
-    if (!estimator.ok()) return estimator.status();
-    out.spec = EstimatorSinkSpec(name, config);
-    out.sink.estimator = estimator.value().get();
-    out.sink.sink = std::move(estimator).ValueOrDie();
-  } else {
+  if (kind != CheckpointKind::kSampler && kind != CheckpointKind::kEstimator) {
     return Status::InvalidArgument(
         "RestoreSink: blob is not a sampler or estimator checkpoint");
+  }
+  RestoredSink out;
+  if (!GetSpec(&r, kind, &out.spec)) {
+    return Status::InvalidArgument(
+        "RestoreSink: truncated or invalid envelope");
+  }
+  auto resolved = Resolve(out.spec);
+  if (!resolved.ok()) return resolved.status();
+  if ((resolved.value().entry->info.kind == SinkKind::kSampler) !=
+      (kind == CheckpointKind::kSampler)) {
+    return Status::InvalidArgument("RestoreSink: \"" + out.spec.name +
+                                   "\" does not match the envelope kind");
+  }
+  auto sink = Construct(resolved.value(), out.spec);
+  if (!sink.ok()) return sink.status();
+  out.sink = std::move(sink).ValueOrDie();
+  if (!out.sink.sink->LoadState(&r) || !r.AtEnd()) {
+    return Status::InvalidArgument(
+        out.spec.name + ": truncated, corrupt, or trailing checkpoint state");
   }
   return out;
 }
@@ -516,33 +1017,36 @@ Result<std::vector<WindowEstimator*>> EstimatorPointers(
 }
 
 std::string RegisteredSinkNames() {
-  std::string out = RegisteredSamplerNames();
-  const std::string estimators = RegisteredEstimatorNames();
-  if (!out.empty() && !estimators.empty()) out += ", ";
-  out += estimators;
+  std::string out = NamesOf(SinkKind::kSampler);
+  out += ", ";
+  out += NamesOf(SinkKind::kEstimator);
   return out;
 }
 
 std::string FormatSinkList() {
   std::string out = "samplers (sink spec: name[,key=value]...):\n";
-  for (const SamplerSpec& spec : RegisteredSamplers()) {
+  for (const Entry& entry : kSinks) {
+    const SinkInfo& info = entry.info;
+    if (info.kind != SinkKind::kSampler) continue;
     out += "  ";
-    out += spec.name;
-    out += spec.model == WindowModel::kSequence ? "  [sequence]  "
+    out += info.name;
+    out += info.model == WindowModel::kSequence ? "  [sequence]  "
                                                 : "  [timestamp]  ";
-    out += spec.summary;
+    out += info.summary;
     out += "\n";
   }
   out += "estimators (sink spec: name[@substrate][,key=value]...):\n";
-  for (const EstimatorSpec& spec : RegisteredEstimators()) {
+  for (const Entry& entry : kSinks) {
+    const SinkInfo& info = entry.info;
+    if (info.kind != SinkKind::kEstimator) continue;
     out += "  ";
-    out += spec.name;
+    out += info.name;
     out += "  [";
-    out += spec.metric;
+    out += info.metric;
     out += ", default @";
-    out += spec.default_substrate;
+    out += info.default_substrate;
     out += "]  ";
-    out += spec.summary;
+    out += info.summary;
     out += "\n";
   }
   return out;

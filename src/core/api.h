@@ -104,19 +104,19 @@ class StreamSink {
   virtual uint64_t RetainedBytes() const { return MemoryWords() * 8; }
 
   /// Human-readable algorithm name for harness output; for registered
-  /// sinks this equals the registry key.
+  /// sinks this equals the sink-table name.
   virtual const char* name() const = 0;
 
   /// True when this sink implements the SaveState/LoadState pair below.
-  /// Every registry-constructible sampler and estimator is persistable;
+  /// Every sampler and estimator CreateSink builds is persistable;
   /// the default is false so ad-hoc user sinks need not opt in.
   virtual bool persistable() const { return false; }
 
   /// Appends the sink's full MUTABLE state — counters, clocks, RNG
   /// streams, held samples — to `w`. Configuration (window sizes, k,
   /// substrate choice) is NOT written here: the checkpoint envelope
-  /// (core/checkpoint.h) carries the registry name plus config that
-  /// reconstruct the object shell, and LoadState then refills it. The
+  /// (SaveSink, apps/sink_spec.h) carries the sink spec that
+  /// reconstructs the object shell, and LoadState then refills it. The
   /// paper's O(k log n)-word state bound is what makes this cheap.
   virtual void SaveState(BinaryWriter* w) const { (void)w; }
 

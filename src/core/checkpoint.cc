@@ -3,7 +3,6 @@
 #include "core/checkpoint.h"
 
 #include <algorithm>
-#include <utility>
 
 #include "stream/item_serial.h"
 
@@ -36,75 +35,6 @@ Result<CheckpointKind> PeekCheckpointKind(std::string_view blob) {
         "checkpoint: bad magic, unsupported version, or unknown kind");
   }
   return kind;
-}
-
-void SaveSamplerConfig(const SamplerConfig& config, BinaryWriter* w) {
-  w->PutU64(config.window_n);
-  w->PutI64(config.window_t);
-  w->PutU64(config.k);
-  w->PutU64(config.seed);
-  w->PutU64(config.oversample_factor);
-  w->PutBool(config.with_replacement);
-}
-
-bool LoadSamplerConfig(BinaryReader* r, SamplerConfig* config) {
-  // The PRODUCT is capped too: oversample-swor allocates factor * k
-  // units, so two individually-valid fields must not combine into an
-  // allocation bomb (both are <= kMaxCheckpointUnits here, so the
-  // product cannot overflow 64 bits).
-  return r->GetU64(&config->window_n) && r->GetI64(&config->window_t) &&
-         r->GetU64(&config->k) && r->GetU64(&config->seed) &&
-         r->GetU64(&config->oversample_factor) &&
-         r->GetBool(&config->with_replacement) &&
-         config->k <= kMaxCheckpointUnits &&
-         config->oversample_factor <= kMaxCheckpointUnits &&
-         config->k * config->oversample_factor <= kMaxCheckpointUnits;
-}
-
-Result<std::string> SaveSampler(const WindowSampler& sampler,
-                                const SamplerConfig& config) {
-  if (!sampler.persistable()) {
-    return Status::FailedPrecondition(std::string(sampler.name()) +
-                                      ": sampler is not persistable");
-  }
-  if (!IsRegisteredSampler(sampler.name())) {
-    return Status::InvalidArgument(
-        std::string(sampler.name()) +
-        ": SaveSampler requires a registry-constructed sampler");
-  }
-  BinaryWriter w;
-  WriteCheckpointHeader(CheckpointKind::kSampler, &w);
-  w.PutString(sampler.name());
-  SaveSamplerConfig(config, &w);
-  sampler.SaveState(&w);
-  return w.Release();
-}
-
-Result<std::unique_ptr<WindowSampler>> RestoreSampler(std::string_view blob) {
-  BinaryReader r(blob);
-  CheckpointKind kind;
-  if (!ReadCheckpointHeader(&r, &kind)) {
-    return Status::InvalidArgument(
-        "RestoreSampler: bad magic, unsupported version, or unknown kind");
-  }
-  if (kind != CheckpointKind::kSampler) {
-    return Status::InvalidArgument(
-        "RestoreSampler: blob does not contain a sampler checkpoint");
-  }
-  std::string name;
-  SamplerConfig config;
-  if (!r.GetString(&name) || !LoadSamplerConfig(&r, &config)) {
-    return Status::InvalidArgument(
-        "RestoreSampler: truncated or invalid envelope");
-  }
-  auto sampler = CreateSampler(name, config);
-  if (!sampler.ok()) return sampler.status();
-  std::unique_ptr<WindowSampler> restored = std::move(sampler).ValueOrDie();
-  if (!restored->LoadState(&r) || !r.AtEnd()) {
-    return Status::InvalidArgument(
-        name + ": truncated, corrupt, or trailing checkpoint state");
-  }
-  return restored;
 }
 
 std::string SaveSnapshot(const SamplerSnapshot& snapshot) {

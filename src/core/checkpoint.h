@@ -9,37 +9,32 @@
 ///   u64  magic            "SWSCKPT\0" (little-endian)
 ///   u64  format version   currently 1
 ///   u64  kind             CheckpointKind below
-///   ...  kind-specific body (registry name + config + state payload for
-///        sinks; fields for snapshots and manifests)
+///   ...  kind-specific body (the sink spec + state payload for sinks;
+///        fields for snapshots and manifests)
 ///
-/// Sampler blobs carry the registry name and the full SamplerConfig; the
-/// registry-level RestoreSampler() reconstructs the exact object by
-/// constructing the named sampler from that config and refilling it with
-/// StreamSink::LoadState. Estimator blobs mirror this through
-/// apps/estimator_checkpoint.h. The paper's O(k log n)-word state bound
-/// (Theorems 2.1–4.4) is what keeps sink payloads small.
+/// Sink bodies are written and read by SaveSink/RestoreSink
+/// (apps/sink_spec.h), which rebuild the exact sink from its SinkSpec and
+/// refill it with StreamSink::LoadState. The paper's O(k log n)-word
+/// state bound (Theorems 2.1–4.4) is what keeps sink payloads small.
 ///
 /// Versioning policy: the format version is bumped on any incompatible
 /// layout change; readers reject unknown versions rather than guessing.
-/// Unknown registry names, invalid configs, truncation, and trailing
-/// bytes all surface as InvalidArgument — never a crash, which the fuzz
-/// tests enforce on every envelope.
+/// Unknown names, invalid configs, truncation, and trailing bytes all
+/// surface as InvalidArgument — never a crash, which the fuzz tests
+/// enforce on every envelope.
 ///
 /// Ownership: restore functions return caller-owned objects; blobs are
 /// plain std::string values.
 ///
-/// Thread-safety: free functions; sinks being saved follow the usual
-/// one-thread-per-instance rule.
+/// Thread-safety: free functions.
 
 #ifndef SWSAMPLE_CORE_CHECKPOINT_H_
 #define SWSAMPLE_CORE_CHECKPOINT_H_
 
-#include <memory>
 #include <string>
 #include <string_view>
 
 #include "core/api.h"
-#include "core/registry.h"
 #include "util/serial.h"
 #include "util/status.h"
 
@@ -51,15 +46,16 @@ inline constexpr uint64_t kCheckpointVersion = 1;
 
 /// What a checkpoint blob contains.
 enum class CheckpointKind : uint64_t {
-  kSampler = 1,    ///< registry name + SamplerConfig + SaveState payload
-  kEstimator = 2,  ///< registry name + EstimatorConfig + SaveState payload
+  kSampler = 1,    ///< sampler spec + SaveState payload
+  kEstimator = 2,  ///< estimator spec + SaveState payload
   kSnapshot = 3,   ///< one SamplerSnapshot (cross-process shard merging)
   kManifest = 4,   ///< driver ingestion position (stream/checkpoint.h)
 };
 
-/// Caps on configuration counts restored from untrusted blobs: a corrupt
-/// k/r would otherwise allocate that many sampler units before any
-/// payload validation runs. Generous for any real deployment.
+/// Cap on the unit counts a spec restored from an untrusted blob may ask
+/// for (see RestoreSink): a corrupt k/r would otherwise allocate that many
+/// sampler units before any payload validation runs. Generous for any
+/// real deployment.
 inline constexpr uint64_t kMaxCheckpointUnits = uint64_t{1} << 20;
 
 /// Writes the three-field envelope header.
@@ -71,24 +67,6 @@ bool ReadCheckpointHeader(BinaryReader* r, CheckpointKind* kind);
 
 /// The kind of a checkpoint blob without consuming it.
 Result<CheckpointKind> PeekCheckpointKind(std::string_view blob);
-
-/// SamplerConfig wire codec (every field, fixed order).
-void SaveSamplerConfig(const SamplerConfig& config, BinaryWriter* w);
-bool LoadSamplerConfig(BinaryReader* r, SamplerConfig* config);
-
-/// Serializes a registry-constructed sampler into a self-describing blob.
-/// `config` must be the configuration the sampler was constructed from
-/// (harnesses that build samplers from the registry have it by
-/// construction). Fails when the sampler is not persistable or its name()
-/// is not a registry key.
-Result<std::string> SaveSampler(const WindowSampler& sampler,
-                                const SamplerConfig& config);
-
-/// Reconstructs the exact sampler a SaveSampler blob describes:
-/// constructs the named sampler from the embedded config, then restores
-/// its mutable state. The result resumes the saved sampler's behaviour
-/// bit for bit.
-Result<std::unique_ptr<WindowSampler>> RestoreSampler(std::string_view blob);
 
 /// Serializes one SamplerSnapshot so shard snapshots can be shipped
 /// across processes and merged remotely (SamplerSnapshot::MergeFrom).

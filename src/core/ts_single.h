@@ -22,8 +22,8 @@
 // whose timestamps are older than the current clock, including elements
 // that may already be expired on arrival (Lemma 4.1's "skip" case).
 //
-// The class implements the WindowSampler interface directly (registry name
-// "bop-ts-single") so it participates in registry construction and
+// The class implements the WindowSampler interface directly (sink name
+// "bop-ts-single") so it participates in CreateSink construction and
 // interface-level persistence like every other sampler, while remaining a
 // movable concrete value type the Section 4 reduction and the payload
 // tracker (apps/ts_payload.h) embed by value.

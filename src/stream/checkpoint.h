@@ -13,9 +13,9 @@
 /// Every file is written to a temporary name and atomically renamed; the
 /// MANIFEST rename is the commit point, and it references the shard files
 /// by exact name, so a crash mid-write always leaves the previous
-/// complete checkpoint readable. Shard files are self-describing sampler
-/// or estimator envelopes (core/checkpoint.h), so a checkpoint taken in
-/// one process restores in another with no shared state.
+/// complete checkpoint readable. Shard files are self-describing sink
+/// envelopes (SaveSink, apps/sink_spec.h), so a checkpoint taken in one
+/// process restores in another with no shared state.
 ///
 /// Checkpoint positions are chosen by the drivers at batch-consistent
 /// points (StreamDriver: batch boundaries; ShardedStreamDriver: any item,
@@ -40,10 +40,8 @@
 #include <string>
 #include <vector>
 
-#include "apps/estimator_registry.h"
 #include "apps/sink_spec.h"
 #include "core/api.h"
-#include "core/registry.h"
 #include "stream/item.h"
 #include "util/file_ops.h"
 #include "util/status.h"
@@ -66,7 +64,7 @@ struct CheckpointPolicy {
 };
 
 /// Builds the self-describing envelope blob for one sink. Bound to the
-/// (registry name, config) the harness constructed the sink from.
+/// spec the harness constructed the sink from.
 using SinkSerializer = std::function<Result<std::string>(StreamSink&)>;
 
 /// The producer-side ingestion position a checkpoint captures beyond the
@@ -180,29 +178,24 @@ class CheckpointWriter {
 };
 
 /// A checkpoint read back from disk: the ingestion position plus the
-/// restored sinks and the envelope metadata that reconstructed them.
-/// Exactly one of `samplers`/`estimators` is non-empty (all shard files
-/// of one run hold the same kind and registry name); `sinks` views it.
+/// restored shard sinks. Every shard holds the same sink name.
 struct ResumedCheckpoint {
   CheckpointManifest position;
-  /// The registry name every shard envelope carried.
-  std::string name;
-  /// The per-shard envelope configs (parallel to the sink vectors) —
-  /// the ORIGINAL run's configuration, authoritative over any flags the
+  /// Per-shard sinks with the specs their envelopes carried — the
+  /// ORIGINAL run's configuration, authoritative over any flags the
   /// resuming process was started with.
-  std::vector<SamplerConfig> sampler_configs;
-  std::vector<EstimatorConfig> estimator_configs;
-  std::vector<std::unique_ptr<WindowSampler>> samplers;
-  std::vector<std::unique_ptr<WindowEstimator>> estimators;
+  std::vector<RestoredSink> shards;
+  /// Views of `shards[s].sink.sink`, for the Drive* entry points.
   std::vector<StreamSink*> sinks;
 };
 
 /// Reads the checkpoint committed in `dir` and reconstructs every shard
-/// sink. InvalidArgument on missing/corrupt files or mixed-kind shards.
+/// sink. InvalidArgument on missing/corrupt files or shards that disagree
+/// on the sink name.
 Result<ResumedCheckpoint> LoadCheckpoint(const std::string& dir);
 
-/// Serializers re-bound to the exact (name, config) pairs the resumed
-/// checkpoint's envelopes carried, so a resumed run's further
+/// Serializers re-bound to the exact specs the resumed checkpoint's
+/// envelopes carried, so a resumed run's further
 /// checkpoints describe the restored sinks — immune to drift in the
 /// resuming process's own flags.
 std::vector<SinkSerializer> SerializersFor(const ResumedCheckpoint& resumed);

@@ -2,10 +2,10 @@
 
 /// \file
 /// Batched ingestion engine: feeds generated or file-backed streams through
-/// any StreamSink — a sampler from the sampler registry or an estimator
-/// from the estimator registry — in batches, and reports throughput and
-/// live memory. This is the one place single-threaded harness code pumps
-/// items from — benchmarks, examples and the CLI share it — and the
+/// any StreamSink — a sampler or an estimator built by CreateSink — in
+/// batches, and reports throughput and live memory. This is the one place
+/// single-threaded harness code pumps items from — benchmarks, examples
+/// and the CLI share it — and the
 /// sharded engine (stream/sharded_driver.h) reuses its line grammar, so
 /// the two backends stay drop-in interchangeable at call sites.
 ///

@@ -392,8 +392,8 @@ class KeyedWindowEngine final : public StreamSink {
 
   KeyedEngineOptions options_;
   SinkKind kind_ = SinkKind::kSampler;
-  /// Pre-resolved per-tier constructors (registry lookup + config
-  /// projection done once, not per key).
+  /// Pre-resolved per-tier constructors (table lookup and validation
+  /// done once, not per key).
   SinkFactory tail_factory_;
   SinkFactory hot_factory_;
   FlatMap<uint64_t, KeyEntry*> directory_;

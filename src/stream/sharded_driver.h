@@ -2,7 +2,7 @@
 
 /// \file
 /// Sharded multi-threaded ingestion engine: partitions an incoming stream
-/// across N worker threads, each pumping its own registry-constructed
+/// across N worker threads, each pumping its own CreateSink-built
 /// StreamSink replica over a bounded SPSC chunk queue with backpressure.
 ///
 /// Data flow (the reactor-per-thread fan-out shape):
@@ -60,15 +60,13 @@
 #define SWSAMPLE_STREAM_SHARDED_DRIVER_H_
 
 #include <cstdio>
-#include <memory>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "apps/estimator_registry.h"
+#include "apps/sink_spec.h"
 #include "core/api.h"
-#include "core/registry.h"
 #include "stream/checkpoint.h"
 #include "stream/driver.h"
 #include "stream/item.h"
@@ -212,18 +210,6 @@ uint64_t ShardOfKey(uint64_t value, uint64_t shards);
 /// (apps/sink_spec.h): ShardSinkSpec derives each shard's configuration
 /// (window split + forked seed) and CreateShardedSinks materializes the
 /// replicas — samplers and estimators through ONE entry point.
-
-/// View adaptors: the Drive* entry points take StreamSink*, so harness
-/// code holding typed unique_ptr replicas (e.g. out of a resumed
-/// checkpoint) flattens them with these.
-std::vector<StreamSink*> SinkPointers(
-    const std::vector<std::unique_ptr<WindowSampler>>& shards);
-std::vector<StreamSink*> SinkPointers(
-    const std::vector<std::unique_ptr<WindowEstimator>>& shards);
-std::vector<WindowSampler*> SamplerPointers(
-    const std::vector<std::unique_ptr<WindowSampler>>& shards);
-std::vector<WindowEstimator*> EstimatorPointers(
-    const std::vector<std::unique_ptr<WindowEstimator>>& shards);
 
 }  // namespace swsample
 

@@ -3,7 +3,7 @@
 // Tests for the Section 5 applications behind the WindowEstimator
 // interface: frequency moments (Cor 5.2), entropy (Cor 5.4), triangle
 // counting (Cor 5.3), step-biased sampling. Estimators are built through
-// the estimator registry and checked against exact window aggregates on
+// the sink table and checked against exact window aggregates on
 // streams whose window contents we replay exactly.
 
 #include <cmath>
@@ -14,11 +14,11 @@
 #include <gtest/gtest.h>
 
 #include "apps/biased.h"
-#include "apps/estimator_registry.h"
 #include "apps/triangles.h"
 #include "stats/exact.h"
 #include "stats/tests.h"
 #include "stream/value_gen.h"
+#include "test_sinks.h"
 #include "util/rng.h"
 
 namespace swsample {
@@ -46,8 +46,9 @@ std::vector<uint64_t> ZipfStream(uint64_t len, uint64_t domain, double alpha,
   return values;
 }
 
-EstimatorConfig SeqConfig(uint64_t n, uint64_t r, uint64_t seed) {
-  EstimatorConfig config;
+SinkSpec SeqConfig(const char* name, uint64_t n, uint64_t r, uint64_t seed) {
+  SinkSpec config;
+  config.name = name;
   config.substrate = "bop-seq-single";
   config.window_n = n;
   config.r = r;
@@ -56,19 +57,19 @@ EstimatorConfig SeqConfig(uint64_t n, uint64_t r, uint64_t seed) {
 }
 
 TEST(FkEstimatorTest, CreateValidation) {
-  EXPECT_FALSE(CreateEstimator("ams-fk", SeqConfig(0, 10, 1)).ok());
-  EstimatorConfig bad_moment = SeqConfig(8, 10, 1);
+  EXPECT_FALSE(MakeEstimator(SeqConfig("ams-fk", 0, 10, 1)).ok());
+  SinkSpec bad_moment = SeqConfig("ams-fk", 8, 10, 1);
   bad_moment.moment = 0;
-  EXPECT_FALSE(CreateEstimator("ams-fk", bad_moment).ok());
-  EXPECT_FALSE(CreateEstimator("ams-fk", SeqConfig(8, 0, 1)).ok());
+  EXPECT_FALSE(MakeEstimator(bad_moment).ok());
+  EXPECT_FALSE(MakeEstimator(SeqConfig("ams-fk", 8, 0, 1)).ok());
 }
 
 TEST(FkEstimatorTest, F1IsWindowSize) {
   // F_1 = sum of frequencies = window size; the AMS estimate with k=1 is
   // n * (c - (c-1)) = n exactly, with zero variance.
-  EstimatorConfig config = SeqConfig(16, 4, 2);
+  SinkSpec config = SeqConfig("ams-fk", 16, 4, 2);
   config.moment = 1;
-  auto est = CreateEstimator("ams-fk", config).ValueOrDie();
+  auto est = MakeEstimator(config).ValueOrDie();
   std::vector<uint64_t> window;
   double estimate =
       RunOnStream(*est, ZipfStream(100, 10, 1.0, 3), 16, &window);
@@ -77,7 +78,7 @@ TEST(FkEstimatorTest, F1IsWindowSize) {
 
 TEST(FkEstimatorTest, F2CloseToExactOnSkewedWindow) {
   const uint64_t n = 256;
-  auto est = CreateEstimator("ams-fk", SeqConfig(n, 2000, 4)).ValueOrDie();
+  auto est = MakeEstimator(SeqConfig("ams-fk", n, 2000, 4)).ValueOrDie();
   std::vector<uint64_t> window;
   double estimate =
       RunOnStream(*est, ZipfStream(3 * n, 8, 1.5, 5), n, &window);
@@ -88,9 +89,9 @@ TEST(FkEstimatorTest, F2CloseToExactOnSkewedWindow) {
 
 TEST(FkEstimatorTest, F3CloseToExact) {
   const uint64_t n = 256;
-  EstimatorConfig config = SeqConfig(n, 4000, 6);
+  SinkSpec config = SeqConfig("ams-fk", n, 4000, 6);
   config.moment = 3;
-  auto est = CreateEstimator("ams-fk", config).ValueOrDie();
+  auto est = MakeEstimator(config).ValueOrDie();
   std::vector<uint64_t> window;
   double estimate =
       RunOnStream(*est, ZipfStream(3 * n, 6, 1.5, 7), n, &window);
@@ -109,8 +110,7 @@ TEST(FkEstimatorTest, UnbiasedOverManyRuns) {
   const int runs = 400;
   double exact = 0.0;
   for (int r = 0; r < runs; ++r) {
-    auto est = CreateEstimator(
-                   "ams-fk", SeqConfig(n, 32, Rng::ForkSeed(100, r)))
+    auto est = MakeEstimator(SeqConfig("ams-fk", n, 32, Rng::ForkSeed(100, r)))
                    .ValueOrDie();
     mean += RunOnStream(*est, values, n, &window);
   }
@@ -123,10 +123,10 @@ TEST(FkEstimatorTest, UnbiasedOverManyRuns) {
 TEST(FkEstimatorTest, ExactOracleSubstrateMatches) {
   // The exact-seq substrate draws positions from the buffered window; at
   // moment 1 it reports the window size exactly, like the paper substrate.
-  EstimatorConfig config = SeqConfig(16, 4, 2);
+  SinkSpec config = SeqConfig("ams-fk", 16, 4, 2);
   config.substrate = "exact-seq";
   config.moment = 1;
-  auto est = CreateEstimator("ams-fk", config).ValueOrDie();
+  auto est = MakeEstimator(config).ValueOrDie();
   std::vector<uint64_t> window;
   double estimate =
       RunOnStream(*est, ZipfStream(100, 10, 1.0, 3), 16, &window);
@@ -134,15 +134,15 @@ TEST(FkEstimatorTest, ExactOracleSubstrateMatches) {
 }
 
 TEST(EntropyEstimatorTest, CreateValidation) {
-  EXPECT_FALSE(CreateEstimator("ccm-entropy", SeqConfig(0, 10, 1)).ok());
-  EXPECT_FALSE(CreateEstimator("ccm-entropy", SeqConfig(8, 0, 1)).ok());
+  EXPECT_FALSE(MakeEstimator(SeqConfig("ccm-entropy", 0, 10, 1)).ok());
+  EXPECT_FALSE(MakeEstimator(SeqConfig("ccm-entropy", 8, 0, 1)).ok());
 }
 
 TEST(EntropyEstimatorTest, ConstantStreamHasZeroEntropy) {
   // Per-unit estimates are nonzero (c log(n/c) terms), but the estimator is
   // unbiased with H = 0, so a large unit average must be near zero.
   auto est =
-      CreateEstimator("ccm-entropy", SeqConfig(32, 4000, 9)).ValueOrDie();
+      MakeEstimator(SeqConfig("ccm-entropy", 32, 4000, 9)).ValueOrDie();
   std::vector<uint64_t> values(100, 7);
   std::vector<uint64_t> window;
   double estimate = RunOnStream(*est, values, 32, &window);
@@ -152,7 +152,7 @@ TEST(EntropyEstimatorTest, ConstantStreamHasZeroEntropy) {
 TEST(EntropyEstimatorTest, CloseToExactOnZipfWindow) {
   const uint64_t n = 256;
   auto est =
-      CreateEstimator("ccm-entropy", SeqConfig(n, 3000, 10)).ValueOrDie();
+      MakeEstimator(SeqConfig("ccm-entropy", n, 3000, 10)).ValueOrDie();
   std::vector<uint64_t> window;
   double estimate =
       RunOnStream(*est, ZipfStream(3 * n, 16, 1.0, 11), n, &window);
@@ -164,7 +164,7 @@ TEST(EntropyEstimatorTest, CloseToExactOnZipfWindow) {
 TEST(EntropyEstimatorTest, UniformWindowApproachesLogDomain) {
   const uint64_t n = 512;
   auto est =
-      CreateEstimator("ccm-entropy", SeqConfig(n, 3000, 12)).ValueOrDie();
+      MakeEstimator(SeqConfig("ccm-entropy", n, 3000, 12)).ValueOrDie();
   // Round-robin over 16 values -> exactly uniform window -> H = 4 bits.
   std::vector<uint64_t> values(3 * n);
   for (uint64_t i = 0; i < values.size(); ++i) values[i] = i % 16;
@@ -181,27 +181,25 @@ TEST(TriangleTest, EdgeCodec) {
   EXPECT_EQ(EncodeEdge(3, 5), EncodeEdge(5, 3));
 }
 
-EstimatorConfig TriangleConfig(uint64_t n, uint32_t v, uint64_t r,
-                               uint64_t seed) {
-  EstimatorConfig config = SeqConfig(n, r, seed);
+SinkSpec TriangleConfig(uint64_t n, uint32_t v, uint64_t r, uint64_t seed) {
+  SinkSpec config = SeqConfig("buriol-triangles", n, r, seed);
   config.num_vertices = v;
   return config;
 }
 
 TEST(TriangleTest, CreateValidation) {
   EXPECT_FALSE(
-      CreateEstimator("buriol-triangles", TriangleConfig(0, 10, 5, 1)).ok());
+      MakeEstimator(TriangleConfig(0, 10, 5, 1)).ok());
   EXPECT_FALSE(
-      CreateEstimator("buriol-triangles", TriangleConfig(8, 2, 5, 1)).ok());
+      MakeEstimator(TriangleConfig(8, 2, 5, 1)).ok());
   EXPECT_FALSE(
-      CreateEstimator("buriol-triangles", TriangleConfig(8, 10, 0, 1)).ok());
+      MakeEstimator(TriangleConfig(8, 10, 0, 1)).ok());
 }
 
 TEST(TriangleTest, NoTrianglesEstimatesZero) {
   // A star graph has no triangles.
   const uint32_t v = 32;
-  auto est = CreateEstimator("buriol-triangles",
-                             TriangleConfig(64, v, 500, 13))
+  auto est = MakeEstimator(TriangleConfig(64, v, 500, 13))
                  .ValueOrDie();
   uint64_t idx = 0;
   for (uint32_t leaf = 1; leaf < v; ++leaf) {
@@ -217,8 +215,7 @@ TEST(TriangleTest, PlantedTrianglesExactExpectation) {
   // in a comfortable band around it.
   const uint32_t v = 30;
   const uint64_t n = 300;  // window larger than the 30 streamed edges
-  auto est = CreateEstimator("buriol-triangles",
-                             TriangleConfig(n, v, 20000, 14))
+  auto est = MakeEstimator(TriangleConfig(n, v, 20000, 14))
                  .ValueOrDie();
   uint64_t idx = 0;
   for (uint32_t t = 0; t < v / 3; ++t) {
@@ -249,9 +246,7 @@ TEST(TriangleTest, UnbiasedOverManyRuns) {
   double mean = 0.0;
   const int runs = 300;
   for (int r = 0; r < runs; ++r) {
-    auto est = CreateEstimator(
-                   "buriol-triangles",
-                   TriangleConfig(n, v, 64, Rng::ForkSeed(900, r)))
+    auto est = MakeEstimator(TriangleConfig(n, v, 64, Rng::ForkSeed(900, r)))
                    .ValueOrDie();
     uint64_t idx = 0;
     for (uint64_t e : edge_stream) est->Observe(Item{e, idx++, 0});
@@ -319,12 +314,13 @@ TEST(BiasedTest, MeanEstimatorTracksRecencyWeightedMean) {
   // Old half of the window holds value 0, recent quarter holds 1000: the
   // biased mean must sit between the plain window mean and the recent
   // mean, reflecting the staircase's recency weighting.
-  EstimatorConfig config;
+  SinkSpec config;
+  config.name = "biased-mean";
   config.substrate = "bop-seq-swr";
   config.window_n = 64;
   config.r = 64;
   config.seed = 6;
-  auto est = CreateEstimator("biased-mean", config).ValueOrDie();
+  auto est = MakeEstimator(config).ValueOrDie();
   uint64_t i = 0;
   for (; i < 48; ++i) est->Observe(Item{0, i, static_cast<Timestamp>(i)});
   for (; i < 64; ++i) est->Observe(Item{1000, i, static_cast<Timestamp>(i)});

@@ -1,6 +1,6 @@
 // Copyright (c) swsample authors. Licensed under the MIT license.
 //
-// Crash-resume determinism across the WHOLE registry surface, plus the
+// Crash-resume determinism across the WHOLE sink table, plus the
 // driver-level checkpoint subsystem:
 //
 //   (1) every registered sampler round-trips through the checkpoint
@@ -17,22 +17,23 @@
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "apps/estimator_checkpoint.h"
 #include "apps/sink_spec.h"
-#include "apps/estimator_registry.h"
 #include "apps/triangles.h"
 #include "core/checkpoint.h"
-#include "core/registry.h"
 #include "stream/checkpoint.h"
 #include "stream/driver.h"
+#include "stream/keyed_engine.h"
 #include "stream/sharded_driver.h"
+#include "test_sinks.h"
 #include "util/rng.h"
+#include "util/serial.h"
 
 namespace swsample {
 namespace {
@@ -41,8 +42,9 @@ constexpr uint64_t kWindowN = 48;
 constexpr Timestamp kWindowT = 25;
 constexpr uint32_t kVertices = 12;
 
-SamplerConfig MatrixSamplerConfig(const SamplerSpec& spec, uint64_t seed) {
-  SamplerConfig config;
+SinkSpec MatrixSamplerConfig(const SinkInfo& spec, uint64_t seed) {
+  SinkSpec config;
+  config.name = spec.name;
   config.window_n = kWindowN;
   config.window_t = kWindowT;
   config.k = spec.single_sample ? 1 : 4;
@@ -83,11 +85,11 @@ class BurstStream {
 };
 
 TEST(CheckpointMatrixTest, EverySamplerResumesExactly) {
-  for (const SamplerSpec& spec : RegisteredSamplers()) {
+  for (const SinkInfo& spec : RegisteredSinks(SinkKind::kSampler)) {
     SCOPED_TRACE(spec.name);
     const bool timestamped = spec.model == WindowModel::kTimestamp;
-    SamplerConfig config = MatrixSamplerConfig(spec, 0xc0ffee);
-    auto original = CreateSampler(spec.name, config).ValueOrDie();
+    SinkSpec config = MatrixSamplerConfig(spec, 0xc0ffee);
+    auto original = MakeSampler(config).ValueOrDie();
     ASSERT_TRUE(original->persistable()) << spec.name;
 
     BurstStream stream(17, /*edges=*/false);
@@ -95,8 +97,8 @@ TEST(CheckpointMatrixTest, EverySamplerResumesExactly) {
       for (const Item& item : stream.Step(t)) original->Observe(item);
       if (timestamped) original->AdvanceTime(t);
     }
-    std::string blob = SaveSampler(*original, config).ValueOrDie();
-    auto restored = RestoreSampler(blob).ValueOrDie();
+    std::string blob = SaveSink(*original, config).ValueOrDie();
+    auto restored = RestoreAsSampler(blob).ValueOrDie();
     EXPECT_STREQ(restored->name(), spec.name);
 
     for (Timestamp t = 150; t < 300; ++t) {
@@ -120,10 +122,10 @@ TEST(CheckpointMatrixTest, EverySamplerResumesExactly) {
   }
 }
 
-EstimatorConfig MatrixEstimatorConfig(const EstimatorSpec& spec,
-                                      const SamplerSpec& substrate,
-                                      uint64_t seed) {
-  EstimatorConfig config;
+SinkSpec MatrixEstimatorConfig(const SinkInfo& spec, const SinkInfo& substrate,
+                               uint64_t seed) {
+  SinkSpec config;
+  config.name = spec.name;
   config.substrate = substrate.name;
   config.window_n = kWindowN;
   config.window_t = kWindowT;
@@ -138,16 +140,16 @@ EstimatorConfig MatrixEstimatorConfig(const EstimatorSpec& spec,
 }
 
 TEST(CheckpointMatrixTest, EveryEstimatorSubstrateResumesExactly) {
-  for (const EstimatorSpec& spec : RegisteredEstimators()) {
+  for (const SinkInfo& spec : RegisteredSinks(SinkKind::kEstimator)) {
     const bool edges = std::string_view(spec.name) == "buriol-triangles";
-    for (const char* substrate_name : spec.substrates) {
+    for (const char* substrate_name : CompatibleSubstrates(spec)) {
       SCOPED_TRACE(std::string(spec.name) + " over " + substrate_name);
-      const SamplerSpec* substrate = FindSamplerSpec(substrate_name);
+      const SinkInfo* substrate = FindSink(substrate_name);
       ASSERT_NE(substrate, nullptr);
       const bool timestamped = substrate->model == WindowModel::kTimestamp;
-      EstimatorConfig config =
+      SinkSpec config =
           MatrixEstimatorConfig(spec, *substrate, 0xf00d);
-      auto original = CreateEstimator(spec.name, config).ValueOrDie();
+      auto original = MakeEstimator(config).ValueOrDie();
       ASSERT_TRUE(original->persistable())
           << spec.name << " over " << substrate_name;
 
@@ -156,8 +158,8 @@ TEST(CheckpointMatrixTest, EveryEstimatorSubstrateResumesExactly) {
         for (const Item& item : stream.Step(t)) original->Observe(item);
         if (timestamped) original->AdvanceTime(t);
       }
-      std::string blob = SaveEstimator(*original, config).ValueOrDie();
-      auto restored = RestoreEstimator(blob).ValueOrDie();
+      std::string blob = SaveSink(*original, config).ValueOrDie();
+      auto restored = RestoreAsEstimator(blob).ValueOrDie();
       EXPECT_STREQ(restored->name(), spec.name);
 
       for (Timestamp t = 120; t < 220; ++t) {
@@ -190,22 +192,22 @@ TEST(CheckpointMatrixTest, EveryEstimatorSubstrateResumesExactly) {
 /// estimator x substrate pair (every envelope shape the library emits).
 std::vector<std::string> AllEnvelopes() {
   std::vector<std::string> blobs;
-  for (const SamplerSpec& spec : RegisteredSamplers()) {
-    SamplerConfig config = MatrixSamplerConfig(spec, 99);
-    auto sampler = CreateSampler(spec.name, config).ValueOrDie();
+  for (const SinkInfo& spec : RegisteredSinks(SinkKind::kSampler)) {
+    SinkSpec config = MatrixSamplerConfig(spec, 99);
+    auto sampler = MakeSampler(config).ValueOrDie();
     BurstStream stream(5, /*edges=*/false);
     for (Timestamp t = 0; t < 80; ++t) {
       for (const Item& item : stream.Step(t)) sampler->Observe(item);
       if (spec.model == WindowModel::kTimestamp) sampler->AdvanceTime(t);
     }
-    blobs.push_back(SaveSampler(*sampler, config).ValueOrDie());
+    blobs.push_back(SaveSink(*sampler, config).ValueOrDie());
   }
-  for (const EstimatorSpec& spec : RegisteredEstimators()) {
+  for (const SinkInfo& spec : RegisteredSinks(SinkKind::kEstimator)) {
     const bool edges = std::string_view(spec.name) == "buriol-triangles";
-    for (const char* substrate_name : spec.substrates) {
-      const SamplerSpec* substrate = FindSamplerSpec(substrate_name);
-      EstimatorConfig config = MatrixEstimatorConfig(spec, *substrate, 7);
-      auto estimator = CreateEstimator(spec.name, config).ValueOrDie();
+    for (const char* substrate_name : CompatibleSubstrates(spec)) {
+      const SinkInfo* substrate = FindSink(substrate_name);
+      SinkSpec config = MatrixEstimatorConfig(spec, *substrate, 7);
+      auto estimator = MakeEstimator(config).ValueOrDie();
       BurstStream stream(11, edges);
       for (Timestamp t = 0; t < 80; ++t) {
         for (const Item& item : stream.Step(t)) estimator->Observe(item);
@@ -213,23 +215,16 @@ std::vector<std::string> AllEnvelopes() {
           estimator->AdvanceTime(t);
         }
       }
-      blobs.push_back(SaveEstimator(*estimator, config).ValueOrDie());
+      blobs.push_back(SaveSink(*estimator, config).ValueOrDie());
     }
   }
   return blobs;
 }
 
 Result<std::unique_ptr<StreamSink>> RestoreAny(const std::string& blob) {
-  auto kind = PeekCheckpointKind(blob);
-  if (!kind.ok()) return kind.status();
-  if (kind.value() == CheckpointKind::kSampler) {
-    auto sampler = RestoreSampler(blob);
-    if (!sampler.ok()) return sampler.status();
-    return std::unique_ptr<StreamSink>(std::move(sampler).ValueOrDie());
-  }
-  auto estimator = RestoreEstimator(blob);
-  if (!estimator.ok()) return estimator.status();
-  return std::unique_ptr<StreamSink>(std::move(estimator).ValueOrDie());
+  auto restored = RestoreSink(blob);
+  if (!restored.ok()) return restored.status();
+  return std::move(restored.value().sink.sink);
 }
 
 TEST(CheckpointFuzzTest, TruncationIsRejectedOnEveryEnvelope) {
@@ -315,7 +310,8 @@ TEST(DriverCheckpointTest, SingleSinkResumeMatchesUninterruptedRun) {
   const std::string dir = testing::TempDir() + "ckpt_single_dir";
   fs::remove_all(dir);
 
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swor";
   config.window_n = 64;
   config.k = 8;
   config.seed = 0x5eed;
@@ -325,18 +321,18 @@ TEST(DriverCheckpointTest, SingleSinkResumeMatchesUninterruptedRun) {
   StreamDriver driver(options);
 
   // Uninterrupted reference run.
-  auto reference = CreateSampler("bop-seq-swor", config).ValueOrDie();
+  auto reference = MakeSampler(config).ValueOrDie();
   ASSERT_TRUE(driver.DriveFile(stream, false, *reference).ok());
 
   // Crashed run: ingest only the prefix, checkpointing as it goes. (The
   // sink object dies with this scope — recovery must come from disk.)
   {
-    auto crashed = CreateSampler("bop-seq-swor", config).ValueOrDie();
+    auto crashed = MakeSampler(config).ValueOrDie();
     CheckpointPolicy policy;
     policy.dir = dir;
     policy.every_items = 1000;
     CheckpointWriter writer(
-        policy, MakeSinkSerializers(SamplerSinkSpec("bop-seq-swor", config), 1)
+        policy, MakeSinkSerializers(config, 1)
                     .ValueOrDie());
     auto report = driver.DriveFileCheckpointed(prefix, false, *crashed,
                                                &writer, nullptr);
@@ -348,7 +344,7 @@ TEST(DriverCheckpointTest, SingleSinkResumeMatchesUninterruptedRun) {
   // Resume in a "new process": restore from disk, replay the full input.
   auto resumed = StreamDriver::ResumeFrom(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ASSERT_EQ(resumed.value().samplers.size(), 1u);
+  ASSERT_EQ(resumed.value().shards.size(), 1u);
   EXPECT_EQ(resumed.value().position.items, 2048u);
   auto report = driver.DriveFileCheckpointed(
       stream, false, *resumed.value().sinks[0], nullptr,
@@ -359,7 +355,7 @@ TEST(DriverCheckpointTest, SingleSinkResumeMatchesUninterruptedRun) {
   // Bit-identical final state: every subsequent draw agrees.
   for (int q = 0; q < 20; ++q) {
     auto a = reference->Sample();
-    auto b = resumed.value().samplers[0]->Sample();
+    auto b = resumed.value().shards[0].sink.sampler->Sample();
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
   }
@@ -390,7 +386,8 @@ TEST(DriverCheckpointTest, TsSamplerResumeCutInsideSameTimestampRun) {
   const std::string dir = testing::TempDir() + "ckpt_ts_run_dir";
   fs::remove_all(dir);
 
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-ts-swor";
   config.window_t = 25;
   config.k = 8;
   config.seed = 0x7ead;
@@ -398,17 +395,16 @@ TEST(DriverCheckpointTest, TsSamplerResumeCutInsideSameTimestampRun) {
   StreamDriver::Options options;
   options.batch_size = 128;
   StreamDriver driver(options);
-
-  auto reference = CreateSampler("bop-ts-swor", config).ValueOrDie();
+  auto reference = MakeSampler(config).ValueOrDie();
   ASSERT_TRUE(driver.DriveFile(path, true, *reference).ok());
 
   {
-    auto crashed = CreateSampler("bop-ts-swor", config).ValueOrDie();
+    auto crashed = MakeSampler(config).ValueOrDie();
     CheckpointPolicy policy;
     policy.dir = dir;
     policy.every_items = 1000;
     CheckpointWriter writer(
-        policy, MakeSinkSerializers(SamplerSinkSpec("bop-ts-swor", config), 1)
+        policy, MakeSinkSerializers(config, 1)
                     .ValueOrDie());
     auto report =
         driver.DriveFileCheckpointed(prefix, true, *crashed, &writer, nullptr);
@@ -420,7 +416,7 @@ TEST(DriverCheckpointTest, TsSamplerResumeCutInsideSameTimestampRun) {
 
   auto resumed = StreamDriver::ResumeFrom(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ASSERT_EQ(resumed.value().samplers.size(), 1u);
+  ASSERT_EQ(resumed.value().shards.size(), 1u);
   EXPECT_EQ(resumed.value().position.items, 2048u);
   auto report = driver.DriveFileCheckpointed(
       path, true, *resumed.value().sinks[0], nullptr,
@@ -430,7 +426,7 @@ TEST(DriverCheckpointTest, TsSamplerResumeCutInsideSameTimestampRun) {
 
   for (int q = 0; q < 20; ++q) {
     auto a = reference->Sample();
-    auto b = resumed.value().samplers[0]->Sample();
+    auto b = resumed.value().shards[0].sink.sampler->Sample();
     ASSERT_EQ(a.size(), b.size());
     for (size_t i = 0; i < a.size(); ++i) ASSERT_EQ(a[i], b[i]);
   }
@@ -443,7 +439,8 @@ TEST(DriverCheckpointTest, SingleEstimatorResumeMatchesUninterruptedRun) {
   const std::string dir = testing::TempDir() + "ckpt_est_dir";
   fs::remove_all(dir);
 
-  EstimatorConfig config;
+  SinkSpec config;
+  config.name = "ams-fk";
   config.substrate = "bop-ts-single";
   config.window_t = 40;
   config.r = 16;
@@ -452,18 +449,17 @@ TEST(DriverCheckpointTest, SingleEstimatorResumeMatchesUninterruptedRun) {
   StreamDriver::Options options;
   options.batch_size = 256;
   StreamDriver driver(options);
-
-  auto reference = CreateEstimator("ams-fk", config).ValueOrDie();
+  auto reference = MakeEstimator(config).ValueOrDie();
   ASSERT_TRUE(driver.DriveFile(stream, true, *reference).ok());
 
   {
-    auto crashed = CreateEstimator("ams-fk", config).ValueOrDie();
+    auto crashed = MakeEstimator(config).ValueOrDie();
     CheckpointPolicy policy;
     policy.dir = dir;
     policy.every_items = 800;
     CheckpointWriter writer(
         policy,
-        MakeSinkSerializers(EstimatorSinkSpec("ams-fk", config), 1).ValueOrDie());
+        MakeSinkSerializers(config, 1).ValueOrDie());
     ASSERT_TRUE(driver
                     .DriveFileCheckpointed(prefix, true, *crashed, &writer,
                                            nullptr)
@@ -473,7 +469,7 @@ TEST(DriverCheckpointTest, SingleEstimatorResumeMatchesUninterruptedRun) {
 
   auto resumed = StreamDriver::ResumeFrom(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ASSERT_EQ(resumed.value().estimators.size(), 1u);
+  ASSERT_EQ(resumed.value().shards.size(), 1u);
   ASSERT_TRUE(driver
                   .DriveFileCheckpointed(stream, true,
                                          *resumed.value().sinks[0], nullptr,
@@ -482,7 +478,7 @@ TEST(DriverCheckpointTest, SingleEstimatorResumeMatchesUninterruptedRun) {
 
   for (int q = 0; q < 5; ++q) {
     EstimateReport a = reference->Estimate();
-    EstimateReport b = resumed.value().estimators[0]->Estimate();
+    EstimateReport b = resumed.value().shards[0].sink.estimator->Estimate();
     ASSERT_EQ(a.value, b.value);
     ASSERT_EQ(a.window_size, b.window_size);
     ASSERT_EQ(a.support, b.support);
@@ -496,7 +492,8 @@ TEST(DriverCheckpointTest, ShardedChunksResumeMatchesUninterruptedRun) {
   const std::string dir = testing::TempDir() + "ckpt_sharded_dir";
   fs::remove_all(dir);
 
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swor";
   config.window_n = 64;
   config.k = 4;
   config.seed = 0xd1ce;
@@ -509,7 +506,7 @@ TEST(DriverCheckpointTest, ShardedChunksResumeMatchesUninterruptedRun) {
   ShardedStreamDriver driver(options);
 
   auto reference =
-      CreateShardedSinks(SamplerSinkSpec("bop-seq-swor", config), kShards).ValueOrDie();
+      CreateShardedSinks(config, kShards).ValueOrDie();
   {
     auto sinks = SinkPointers(reference);
     ASSERT_TRUE(driver.DriveFile(stream, false, sinks).ok());
@@ -517,13 +514,13 @@ TEST(DriverCheckpointTest, ShardedChunksResumeMatchesUninterruptedRun) {
 
   {
     auto crashed =
-        CreateShardedSinks(SamplerSinkSpec("bop-seq-swor", config), kShards).ValueOrDie();
+        CreateShardedSinks(config, kShards).ValueOrDie();
     auto sinks = SinkPointers(crashed);
     CheckpointPolicy policy;
     policy.dir = dir;
     policy.every_items = 1000;
     CheckpointWriter writer(
-        policy, MakeSinkSerializers(SamplerSinkSpec("bop-seq-swor", config), kShards)
+        policy, MakeSinkSerializers(config, kShards)
                     .ValueOrDie());
     auto report =
         driver.DriveFileCheckpointed(prefix, false, sinks, &writer, nullptr);
@@ -533,7 +530,7 @@ TEST(DriverCheckpointTest, ShardedChunksResumeMatchesUninterruptedRun) {
 
   auto resumed = ShardedStreamDriver::ResumeFrom(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ASSERT_EQ(resumed.value().samplers.size(), kShards);
+  ASSERT_EQ(resumed.value().shards.size(), kShards);
   EXPECT_EQ(resumed.value().position.items, 3000u);
   // The manifest carries the un-flushed router buffer (3000 % 64 != 0).
   uint64_t pending_items = 0;
@@ -550,7 +547,7 @@ TEST(DriverCheckpointTest, ShardedChunksResumeMatchesUninterruptedRun) {
 
   for (uint64_t s = 0; s < kShards; ++s) {
     auto a = reference[s].sampler->Sample();
-    auto b = resumed.value().samplers[s]->Sample();
+    auto b = resumed.value().shards[s].sink.sampler->Sample();
     ASSERT_EQ(a.size(), b.size()) << "shard " << s;
     for (size_t i = 0; i < a.size(); ++i) {
       ASSERT_EQ(a[i], b[i]) << "shard " << s << " slot " << i;
@@ -565,7 +562,8 @@ TEST(DriverCheckpointTest, ShardedKeyHashEstimatorResumeMatches) {
   const std::string dir = testing::TempDir() + "ckpt_keyhash_dir";
   fs::remove_all(dir);
 
-  EstimatorConfig config;
+  SinkSpec config;
+  config.name = "ams-fk";
   config.substrate = "bop-ts-single";
   config.window_t = 50;
   config.r = 8;
@@ -579,7 +577,7 @@ TEST(DriverCheckpointTest, ShardedKeyHashEstimatorResumeMatches) {
   ShardedStreamDriver driver(options);
 
   auto reference =
-      CreateShardedSinks(EstimatorSinkSpec("ams-fk", config), kShards).ValueOrDie();
+      CreateShardedSinks(config, kShards).ValueOrDie();
   {
     auto sinks = SinkPointers(reference);
     ASSERT_TRUE(driver.DriveFile(stream, true, sinks).ok());
@@ -587,13 +585,13 @@ TEST(DriverCheckpointTest, ShardedKeyHashEstimatorResumeMatches) {
 
   {
     auto crashed =
-        CreateShardedSinks(EstimatorSinkSpec("ams-fk", config), kShards).ValueOrDie();
+        CreateShardedSinks(config, kShards).ValueOrDie();
     auto sinks = SinkPointers(crashed);
     CheckpointPolicy policy;
     policy.dir = dir;
     policy.every_items = 700;
     CheckpointWriter writer(
-        policy, MakeSinkSerializers(EstimatorSinkSpec("ams-fk", config), kShards)
+        policy, MakeSinkSerializers(config, kShards)
                     .ValueOrDie());
     ASSERT_TRUE(
         driver.DriveFileCheckpointed(prefix, true, sinks, &writer, nullptr)
@@ -602,7 +600,7 @@ TEST(DriverCheckpointTest, ShardedKeyHashEstimatorResumeMatches) {
 
   auto resumed = ShardedStreamDriver::ResumeFrom(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
-  ASSERT_EQ(resumed.value().estimators.size(), kShards);
+  ASSERT_EQ(resumed.value().shards.size(), kShards);
   {
     auto sinks = resumed.value().sinks;
     ASSERT_TRUE(driver
@@ -612,7 +610,10 @@ TEST(DriverCheckpointTest, ShardedKeyHashEstimatorResumeMatches) {
   }
 
   auto ref_ptrs = EstimatorPointers(reference).ValueOrDie();
-  auto res_ptrs = EstimatorPointers(resumed.value().estimators);
+  std::vector<WindowEstimator*> res_ptrs;
+  for (const RestoredSink& shard : resumed.value().shards) {
+    res_ptrs.push_back(shard.sink.estimator);
+  }
   auto merged_ref = MergedEstimate(ref_ptrs).ValueOrDie();
   auto merged_res = MergedEstimate(res_ptrs).ValueOrDie();
   EXPECT_EQ(merged_ref.value, merged_res.value);
@@ -629,7 +630,8 @@ TEST(DriverCheckpointTest, ResumeRejectsMismatchedGeometryAndBadDirs) {
   const std::string dir = testing::TempDir() + "ckpt_geom_dir";
   fs::remove_all(dir);
 
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swor";
   config.window_n = 64;
   config.k = 4;
   config.seed = 5;
@@ -639,7 +641,7 @@ TEST(DriverCheckpointTest, ResumeRejectsMismatchedGeometryAndBadDirs) {
   options.partition = ShardPartition::kChunks;
   ShardedStreamDriver driver(options);
 
-  auto shards = CreateShardedSinks(SamplerSinkSpec("bop-seq-swor", config), 2).ValueOrDie();
+  auto shards = CreateShardedSinks(config, 2).ValueOrDie();
   {
     auto sinks = SinkPointers(shards);
     CheckpointPolicy policy;
@@ -647,7 +649,7 @@ TEST(DriverCheckpointTest, ResumeRejectsMismatchedGeometryAndBadDirs) {
     policy.every_items = 500;
     CheckpointWriter writer(
         policy,
-        MakeSinkSerializers(SamplerSinkSpec("bop-seq-swor", config), 2).ValueOrDie());
+        MakeSinkSerializers(config, 2).ValueOrDie());
     ASSERT_TRUE(
         driver.DriveFileCheckpointed(stream, false, sinks, &writer, nullptr)
             .ok());
@@ -701,20 +703,21 @@ TEST(DriverCheckpointTest, ResumeDetectsDivergentReplay) {
   const std::string dir = testing::TempDir() + "ckpt_diverge_dir";
   fs::remove_all(dir);
 
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-ts-swr";
   config.window_t = 40;
   config.k = 2;
   config.seed = 9;
   StreamDriver driver;
 
   {
-    auto sink = CreateSampler("bop-ts-swr", config).ValueOrDie();
+    auto sink = MakeSampler(config).ValueOrDie();
     CheckpointPolicy policy;
     policy.dir = dir;
     policy.every_items = 1000;
     CheckpointWriter writer(
         policy,
-        MakeSinkSerializers(SamplerSinkSpec("bop-ts-swr", config), 1).ValueOrDie());
+        MakeSinkSerializers(config, 1).ValueOrDie());
     ASSERT_TRUE(
         driver.DriveFileCheckpointed(stream, true, *sink, &writer, nullptr)
             .ok());
@@ -729,6 +732,198 @@ TEST(DriverCheckpointTest, ResumeDetectsDivergentReplay) {
                                           *resumed.value().sinks[0], nullptr,
                                           &resumed.value().position)
                    .ok());
+}
+
+// ---------------------------------------------------------------------
+// Forged envelopes: every per-field count is within kMaxCheckpointUnits,
+// but their product asks construction for an unbounded allocation.
+
+std::string ForgedEstimatorEnvelope(const std::string& name,
+                                    const std::string& substrate,
+                                    uint64_t window_n, uint64_t r,
+                                    uint64_t oversample,
+                                    const std::vector<BiasLevel>& levels) {
+  BinaryWriter w;
+  WriteCheckpointHeader(CheckpointKind::kEstimator, &w);
+  w.PutString(name);
+  w.PutString(substrate);
+  w.PutU64(window_n);
+  w.PutI64(0);     // window_t
+  w.PutU64(r);
+  w.PutU64(1);     // seed
+  w.PutU64(2);     // moment
+  w.PutU64(0);     // vertices
+  w.PutDouble(0.05);
+  w.PutDouble(0.5);
+  w.PutU64(oversample);
+  w.PutU64(levels.size());
+  for (const BiasLevel& level : levels) {
+    w.PutU64(level.window);
+    w.PutDouble(level.weight);
+  }
+  return w.Release();
+}
+
+std::vector<std::string> ForgedAllocationEnvelopes() {
+  // dkw-quantile over oversample-swor: r x oversample = 2^40 units.
+  std::string quantile = ForgedEstimatorEnvelope(
+      "dkw-quantile", "oversample-swor", kMaxCheckpointUnits,
+      kMaxCheckpointUnits, kMaxCheckpointUnits, {});
+  // biased-mean with 1024 levels of r = 2^20 units each.
+  std::vector<BiasLevel> levels;
+  for (uint64_t window = 1; window <= 1024; ++window) {
+    levels.push_back(BiasLevel{window, 1.0});
+  }
+  std::string biased = ForgedEstimatorEnvelope(
+      "biased-mean", "bop-seq-swr", 1024, kMaxCheckpointUnits, 3, levels);
+  return {quantile, biased};
+}
+
+TEST(CheckpointFuzzTest, ForgedAllocationEnvelopesAreRejected) {
+  int input = 0;
+  for (const std::string& blob : ForgedAllocationEnvelopes()) {
+    SCOPED_TRACE("forged envelope " + std::to_string(input));
+    const std::string tag = std::to_string(input++);
+
+    auto restored = RestoreSink(blob);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+
+    // As the shard file of a committed checkpoint.
+    const std::string dir = testing::TempDir() + "ckpt_forged_" + tag;
+    fs::remove_all(dir);
+    {
+      const SinkSpec spec = ParseSinkSpec("bop-seq-swr,n=8,k=2").ValueOrDie();
+      Sink sink = CreateSink(spec).ValueOrDie();
+      CheckpointPolicy policy;
+      policy.dir = dir;
+      CheckpointWriter writer(policy,
+                              MakeSinkSerializers(spec, 1).ValueOrDie());
+      CheckpointManifest manifest;
+      manifest.shard_items = {0};
+      StreamSink* sinks[] = {sink.sink.get()};
+      ASSERT_TRUE(writer.Write(manifest, sinks).ok());
+    }
+    std::ofstream(dir + "/shard-0000-0.ckpt",
+                  std::ios::binary | std::ios::trunc)
+        << blob;
+    auto loaded = LoadCheckpoint(dir);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument);
+
+    // As the envelope inside a keyed spill file.
+    const std::string spill_dir =
+        testing::TempDir() + "ckpt_forged_spill_" + tag;
+    fs::remove_all(spill_dir);
+    fs::create_directories(spill_dir);
+    KeyedEngineOptions options;
+    options.spec = ParseSinkSpec("bop-seq-single,n=16,seed=9").ValueOrDie();
+    options.memory_budget_bytes = 96 * 1024;
+    options.spill_dir = spill_dir;
+    options.fsync_spills = false;
+    auto engine = KeyedWindowEngine::Create(options).ValueOrDie();
+    for (uint64_t i = 0; i < 8; ++i) {
+      engine->Observe(Item{0, i, static_cast<Timestamp>(i)});
+    }
+    ASSERT_TRUE(engine->EvictKey(0).ok());
+    // Keep the spill header, swap in the forged envelope.
+    std::string spill_path;
+    for (const auto& entry : fs::directory_iterator(spill_dir)) {
+      spill_path = entry.path().string();
+    }
+    ASSERT_FALSE(spill_path.empty());
+    std::ifstream in(spill_path, std::ios::binary);
+    const std::string spill((std::istreambuf_iterator<char>(in)),
+                            std::istreambuf_iterator<char>());
+    BinaryReader r(spill);
+    BinaryWriter forged;
+    for (int field = 0; field < 7; ++field) {
+      uint64_t value = 0;
+      ASSERT_TRUE(r.GetU64(&value));
+      forged.PutU64(value);
+    }
+    forged.PutString(blob);
+    std::ofstream(spill_path, std::ios::binary | std::ios::trunc)
+        << forged.Release();
+    EXPECT_FALSE(engine->SampleKey(0).ok());
+    EXPECT_TRUE(engine->status().ok()) << engine->status().ToString();
+    EXPECT_EQ(engine->stats().quarantined_files, 1u);
+    EXPECT_EQ(engine->stats().restore_misses, 1u);
+  }
+}
+
+// ---------------------------------------------------------------------
+// Format version 1, pinned: envelopes written by an earlier build (the
+// hex files under tests/data) must restore, resume the same seeded stream
+// as a run that was never interrupted, and re-serialize byte for byte.
+
+Item PinnedItem(uint64_t i) {
+  return Item{(i * 7919) % 1000, i, static_cast<Timestamp>(i / 3)};
+}
+
+std::string ReadHexBlob(const std::string& file) {
+  std::ifstream in(std::string(SWSAMPLE_TEST_DATA_DIR) + "/" + file);
+  std::string hex, line;
+  while (std::getline(in, line)) hex += line;
+  std::string bytes;
+  for (size_t i = 0; i + 1 < hex.size(); i += 2) {
+    bytes.push_back(
+        static_cast<char>(std::stoi(hex.substr(i, 2), nullptr, 16)));
+  }
+  return bytes;
+}
+
+struct PinnedEnvelope {
+  const char* file;
+  const char* spec;  ///< the spec the blob was saved from
+  bool timestamped;
+};
+
+constexpr PinnedEnvelope kPinnedEnvelopes[] = {
+    {"envelope_v1_bop-ts-swor.hex", "bop-ts-swor,t=16,k=3,seed=101", true},
+    {"envelope_v1_biased-mean.hex",
+     "biased-mean@bop-seq-swor,n=32,r=2,seed=202,bias=8:1+32:0.5", false},
+};
+
+TEST(CheckpointPinnedBytesTest, Version1EnvelopesStayReadable) {
+  ASSERT_EQ(kCheckpointVersion, 1u);
+  for (const PinnedEnvelope& pinned : kPinnedEnvelopes) {
+    SCOPED_TRACE(pinned.spec);
+    const std::string blob = ReadHexBlob(pinned.file);
+    ASSERT_FALSE(blob.empty()) << "missing test data " << pinned.file;
+
+    auto restored = RestoreSink(blob);
+    ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+    const SinkSpec& spec = restored.value().spec;
+    EXPECT_EQ(FormatSinkSpec(spec), pinned.spec);
+    Sink& resumed = restored.value().sink;
+    EXPECT_EQ(SaveSink(*resumed.sink, spec).ValueOrDie(), blob);
+
+    // The run that was never interrupted: the blob was saved after items
+    // [0, 120) of this stream.
+    Sink reference = CreateSink(ParseSinkSpec(pinned.spec).ValueOrDie())
+                         .ValueOrDie();
+    auto feed = [&](Sink& sink, uint64_t i) {
+      sink.sink->Observe(PinnedItem(i));
+      if (pinned.timestamped) sink.sink->AdvanceTime(PinnedItem(i).timestamp);
+    };
+    for (uint64_t i = 0; i < 120; ++i) feed(reference, i);
+    for (uint64_t i = 120; i < 360; ++i) {
+      feed(reference, i);
+      feed(resumed, i);
+      if (i % 10 != 0) continue;
+      if (reference.sampler != nullptr) {
+        ASSERT_EQ(reference.sampler->Sample(), resumed.sampler->Sample())
+            << "i=" << i;
+      } else {
+        const EstimateReport a = reference.estimator->Estimate();
+        const EstimateReport b = resumed.estimator->Estimate();
+        ASSERT_EQ(a.value, b.value) << "i=" << i;
+        ASSERT_EQ(a.window_size, b.window_size);
+        ASSERT_EQ(a.support, b.support);
+      }
+    }
+  }
 }
 
 }  // namespace

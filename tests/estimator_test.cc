@@ -1,8 +1,8 @@
 // Copyright (c) swsample authors. Licensed under the MIT license.
 //
-// Tests for the estimator registry and the estimator batch path:
+// Tests for the sink table's estimators and the estimator batch path:
 // (1) every registered estimator constructs by name over EVERY compatible
-// sampler substrate from one common EstimatorConfig and reports itself
+// sampler substrate from one common SinkSpec and reports itself
 // under the registry key; (2) unknown names, unknown substrates,
 // incompatible pairs and invalid configs are rejected through the status
 // mechanism with teaching error messages; (3) estimator ObserveBatch —
@@ -21,13 +21,12 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/estimator_registry.h"
-#include "core/registry.h"
 #include "stats/tests.h"
 #include "stream/arrival.h"
 #include "stream/driver.h"
 #include "stream/stream_gen.h"
 #include "stream/value_gen.h"
+#include "test_sinks.h"
 
 namespace swsample {
 namespace {
@@ -36,8 +35,8 @@ Item MakeItem(uint64_t i) {
   return Item{i, i, static_cast<Timestamp>(i)};
 }
 
-EstimatorConfig BasicConfig(uint64_t seed = 1) {
-  EstimatorConfig config;
+SinkSpec BasicConfig(uint64_t seed = 1) {
+  SinkSpec config;
   config.window_n = 32;
   config.window_t = 32;
   config.r = 4;
@@ -47,28 +46,28 @@ EstimatorConfig BasicConfig(uint64_t seed = 1) {
 }
 
 TEST(EstimatorRegistryTest, SixEstimatorsRegistered) {
-  EXPECT_EQ(RegisteredEstimators().size(), 6u);
+  EXPECT_EQ(RegisteredSinks(SinkKind::kEstimator).size(), 6u);
 }
 
 TEST(EstimatorRegistryTest, EveryCompatiblePairConstructsAndRuns) {
   // The Theorem 5.1 grid: every estimator x every compatible substrate
   // builds from one config, ingests a stream, and answers Estimate().
   uint64_t pairs = 0;
-  for (const EstimatorSpec& spec : RegisteredEstimators()) {
-    EXPECT_TRUE(IsRegisteredEstimator(spec.name));
+  for (const SinkInfo& spec : RegisteredSinks(SinkKind::kEstimator)) {
+    EXPECT_NE(FindSink(spec.name), nullptr);
     EXPECT_TRUE(
-        EstimatorSupportsSubstrate(spec.name, spec.default_substrate))
+        AcceptsSubstrate(spec, spec.default_substrate))
         << spec.name;
-    for (const char* substrate : spec.substrates) {
-      EstimatorConfig config = BasicConfig();
+    for (const char* substrate : CompatibleSubstrates(spec)) {
+      SinkSpec config = BasicConfig();
       config.substrate = substrate;
       // dkw-quantile requires an explicit r = 1 over single-sample
       // substrates rather than silently clamping the DKW sample size.
       if (std::string_view(spec.name) == "dkw-quantile" &&
-          FindSamplerSpec(substrate)->single_sample) {
+          FindSink(substrate)->single_sample) {
         config.r = 1;
       }
-      auto created = CreateEstimator(spec.name, config);
+      auto created = MakeEstimator(Named(config, spec.name));
       ASSERT_TRUE(created.ok()) << spec.name << " x " << substrate << ": "
                                 << created.status().ToString();
       auto est = std::move(created).ValueOrDie();
@@ -85,17 +84,17 @@ TEST(EstimatorRegistryTest, EveryCompatiblePairConstructsAndRuns) {
 }
 
 TEST(EstimatorRegistryTest, DefaultSubstrateUsedWhenEmpty) {
-  for (const EstimatorSpec& spec : RegisteredEstimators()) {
-    EstimatorConfig config = BasicConfig();
+  for (const SinkInfo& spec : RegisteredSinks(SinkKind::kEstimator)) {
+    SinkSpec config = BasicConfig();
     config.substrate.clear();
-    auto created = CreateEstimator(spec.name, config);
+    auto created = MakeEstimator(Named(config, spec.name));
     ASSERT_TRUE(created.ok()) << spec.name << ": "
                               << created.status().ToString();
   }
 }
 
 TEST(EstimatorRegistryTest, UnknownEstimatorRejected) {
-  auto created = CreateEstimator("no-such-estimator", BasicConfig());
+  auto created = MakeEstimator(Named(BasicConfig(), "no-such-estimator"));
   ASSERT_FALSE(created.ok());
   EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
   // The error should teach the caller the registered names.
@@ -103,9 +102,9 @@ TEST(EstimatorRegistryTest, UnknownEstimatorRejected) {
 }
 
 TEST(EstimatorRegistryTest, UnknownSubstrateRejected) {
-  EstimatorConfig config = BasicConfig();
+  SinkSpec config = BasicConfig();
   config.substrate = "no-such-sampler";
-  auto created = CreateEstimator("ams-fk", config);
+  auto created = MakeEstimator(Named(config, "ams-fk"));
   ASSERT_FALSE(created.ok());
   EXPECT_NE(created.status().message().find("bop-seq-swr"),
             std::string::npos);
@@ -114,29 +113,29 @@ TEST(EstimatorRegistryTest, UnknownSubstrateRejected) {
 TEST(EstimatorRegistryTest, IncompatibleSubstrateRejected) {
   // bdm-priority cannot carry forward payloads; the error must list the
   // compatible substrates.
-  EstimatorConfig config = BasicConfig();
+  SinkSpec config = BasicConfig();
   config.substrate = "bdm-priority";
-  auto created = CreateEstimator("ams-fk", config);
+  auto created = MakeEstimator(Named(config, "ams-fk"));
   ASSERT_FALSE(created.ok());
   EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(created.status().message().find("bop-seq-single"),
             std::string::npos);
-  EXPECT_FALSE(EstimatorSupportsSubstrate("ams-fk", "bdm-priority"));
+  EXPECT_FALSE(AcceptsSubstrate(*FindSink("ams-fk"), "bdm-priority"));
   // biased-mean is sequence-only.
-  EXPECT_FALSE(EstimatorSupportsSubstrate("biased-mean", "bop-ts-swr"));
+  EXPECT_FALSE(AcceptsSubstrate(*FindSink("biased-mean"), "bop-ts-swr"));
 }
 
 TEST(EstimatorRegistryTest, MissingWindowParameterRejected) {
-  for (const EstimatorSpec& spec : RegisteredEstimators()) {
-    for (const char* substrate : spec.substrates) {
-      EstimatorConfig config = BasicConfig();
+  for (const SinkInfo& spec : RegisteredSinks(SinkKind::kEstimator)) {
+    for (const char* substrate : CompatibleSubstrates(spec)) {
+      SinkSpec config = BasicConfig();
       config.substrate = substrate;
-      if (FindSamplerSpec(substrate)->model == WindowModel::kSequence) {
+      if (FindSink(substrate)->model == WindowModel::kSequence) {
         config.window_n = 0;
       } else {
         config.window_t = 0;
       }
-      auto created = CreateEstimator(spec.name, config);
+      auto created = MakeEstimator(Named(config, spec.name));
       EXPECT_FALSE(created.ok()) << spec.name << " x " << substrate;
       EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument)
           << spec.name << " x " << substrate;
@@ -145,25 +144,25 @@ TEST(EstimatorRegistryTest, MissingWindowParameterRejected) {
 }
 
 TEST(EstimatorRegistryTest, InvalidParametersRejected) {
-  EstimatorConfig config = BasicConfig();
+  SinkSpec config = BasicConfig();
   config.r = 0;
-  EXPECT_FALSE(CreateEstimator("ams-fk", config).ok());
+  EXPECT_FALSE(MakeEstimator(Named(config, "ams-fk")).ok());
   config = BasicConfig();
   config.q = 1.5;
-  EXPECT_FALSE(CreateEstimator("dkw-quantile", config).ok());
+  EXPECT_FALSE(MakeEstimator(Named(config, "dkw-quantile")).ok());
   config = BasicConfig();
   config.num_vertices = 2;
-  EXPECT_FALSE(CreateEstimator("buriol-triangles", config).ok());
+  EXPECT_FALSE(MakeEstimator(Named(config, "buriol-triangles")).ok());
   // Substrate's own factory validation propagates: SWOR needs k <= n.
   config = BasicConfig();
   config.window_n = 4;
   config.r = 5;
-  EXPECT_FALSE(CreateEstimator("dkw-quantile", config).ok());
+  EXPECT_FALSE(MakeEstimator(Named(config, "dkw-quantile")).ok());
   // Single-sample substrates cannot honor a DKW sample size r > 1; the
   // registry refuses rather than silently degrading the guarantee.
   config = BasicConfig();
   config.substrate = "bop-seq-single";
-  auto clamped = CreateEstimator("dkw-quantile", config);
+  auto clamped = MakeEstimator(Named(config, "dkw-quantile"));
   ASSERT_FALSE(clamped.ok());
   EXPECT_NE(clamped.status().message().find("config.r = 1"),
             std::string::npos);
@@ -182,12 +181,13 @@ std::vector<uint64_t> QuantilePositionCounts(uint64_t n, uint64_t stream_len,
   items.reserve(stream_len);
   for (uint64_t i = 0; i < stream_len; ++i) items.push_back(MakeItem(i));
   for (int t = 0; t < trials; ++t) {
-    EstimatorConfig config;
+    SinkSpec config;
+    config.name = "dkw-quantile";
     config.substrate = "bop-seq-swr";
     config.window_n = n;
     config.r = 1;
     config.seed = Rng::ForkSeed(seed, t);
-    auto est = CreateEstimator("dkw-quantile", config).ValueOrDie();
+    auto est = MakeEstimator(config).ValueOrDie();
     if (batch == 0) {
       for (const Item& item : items) est->Observe(item);
     } else {
@@ -219,12 +219,13 @@ std::vector<uint64_t> FkPositionCounts(uint64_t n, uint64_t stream_len,
     items.push_back(Item{7, i, static_cast<Timestamp>(i)});  // constant
   }
   for (int t = 0; t < trials; ++t) {
-    EstimatorConfig config;
+    SinkSpec config;
+    config.name = "ams-fk";
     config.substrate = "bop-seq-single";
     config.window_n = n;
     config.r = 1;
     config.seed = Rng::ForkSeed(seed, t);
-    auto est = CreateEstimator("ams-fk", config).ValueOrDie();
+    auto est = MakeEstimator(config).ValueOrDie();
     if (batch == 0) {
       for (const Item& item : items) est->Observe(item);
     } else {
@@ -279,7 +280,8 @@ std::vector<uint64_t> TsFkPositionCounts(uint64_t n, uint64_t stream_len,
     items.push_back(Item{7, i, static_cast<Timestamp>(i)});  // constant
   }
   for (int t = 0; t < trials; ++t) {
-    EstimatorConfig config;
+    SinkSpec config;
+    config.name = "ams-fk";
     config.substrate = "bop-ts-single";
     config.window_t = static_cast<Timestamp>(n);
     config.r = 1;
@@ -287,7 +289,7 @@ std::vector<uint64_t> TsFkPositionCounts(uint64_t n, uint64_t stream_len,
     // recovery below cannot collide adjacent cells.
     config.count_eps = 0.001;
     config.seed = Rng::ForkSeed(seed, t);
-    auto est = CreateEstimator("ams-fk", config).ValueOrDie();
+    auto est = MakeEstimator(config).ValueOrDie();
     if (batch == 0) {
       for (const Item& item : items) est->Observe(item);
     } else {
@@ -382,8 +384,8 @@ TEST(EstimatorBatchTest, BatchMatchesObserveDistributionally) {
 TEST(EstimatorDriverTest, DriverPumpsEveryEstimator) {
   std::vector<Item> items;
   for (uint64_t i = 0; i < 1000; ++i) items.push_back(MakeItem(i));
-  for (const EstimatorSpec& spec : RegisteredEstimators()) {
-    auto est = CreateEstimator(spec.name, BasicConfig(5)).ValueOrDie();
+  for (const SinkInfo& spec : RegisteredSinks(SinkKind::kEstimator)) {
+    auto est = MakeEstimator(Named(BasicConfig(5), spec.name)).ValueOrDie();
     StreamDriver::Options options;
     options.batch_size = 64;
     DriveReport report =
@@ -399,12 +401,13 @@ TEST(EstimatorDriverTest, SyntheticStreamAdvancesEstimatorClock) {
   auto stream = SyntheticStream(
       UniformValues::Create(1 << 10).ValueOrDie(),
       std::move(PoissonBurstArrivals::Create(0.2)).ValueOrDie(), 42);
-  EstimatorConfig config;
+  SinkSpec config;
+  config.name = "window-count";
   config.substrate = "bop-ts-single";
   config.window_t = 10;
   config.r = 2;
   config.seed = 3;
-  auto est = CreateEstimator("window-count", config).ValueOrDie();
+  auto est = MakeEstimator(config).ValueOrDie();
   StreamDriver::Options options;
   options.batch_size = 32;
   DriveReport report =

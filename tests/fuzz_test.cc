@@ -25,8 +25,7 @@
 #include <gtest/gtest.h>
 
 #include "baseline/exact_window.h"
-#include "core/checkpoint.h"
-#include "core/registry.h"
+#include "test_sinks.h"
 #include "util/rng.h"
 
 namespace swsample {
@@ -40,14 +39,15 @@ TEST_P(FuzzSweep, TimestampSamplersAgainstOracle) {
   const Timestamp t0 = 1 + static_cast<Timestamp>(scenario.UniformIndex(40));
   const uint64_t k = 1 + scenario.UniformIndex(6);
 
-  SamplerConfig swr_config;
-  swr_config.window_t = t0;
-  swr_config.k = k;
-  swr_config.seed = seed * 3 + 1;
-  SamplerConfig swor_config = swr_config;
-  swor_config.seed = seed * 3 + 2;
-  auto swr = CreateSampler("bop-ts-swr", swr_config).ValueOrDie();
-  auto swor = CreateSampler("bop-ts-swor", swor_config).ValueOrDie();
+  SinkSpec swr_spec;
+  swr_spec.name = "bop-ts-swr";
+  swr_spec.window_t = t0;
+  swr_spec.k = k;
+  swr_spec.seed = seed * 3 + 1;
+  SinkSpec swor_spec = Named(swr_spec, "bop-ts-swor");
+  swor_spec.seed = seed * 3 + 2;
+  auto swr = MakeSampler(swr_spec).ValueOrDie();
+  auto swor = MakeSampler(swor_spec).ValueOrDie();
   auto oracle =
       ExactWindow::CreateTimestamp(t0, 1, true, seed * 3 + 3).ValueOrDie();
 
@@ -79,8 +79,8 @@ TEST_P(FuzzSweep, TimestampSamplersAgainstOracle) {
     // Occasionally checkpoint-cycle the SWOR sampler through the
     // self-describing envelope (a different process could do this half).
     if (scenario.UniformIndex(20) == 0) {
-      std::string blob = SaveSampler(*swor, swor_config).ValueOrDie();
-      swor = RestoreSampler(blob).ValueOrDie();
+      std::string blob = SaveSink(*swor, swor_spec).ValueOrDie();
+      swor = RestoreAsSampler(blob).ValueOrDie();
     }
 
     // Oracle membership set.
@@ -120,14 +120,15 @@ TEST_P(FuzzSweep, SequenceSamplersAgainstOracle) {
   const uint64_t n = 1 + scenario.UniformIndex(100);
   const uint64_t k = 1 + scenario.UniformIndex(std::min<uint64_t>(n, 8));
 
-  SamplerConfig swr_config;
-  swr_config.window_n = n;
-  swr_config.k = k;
-  swr_config.seed = seed * 5 + 1;
-  SamplerConfig swor_config = swr_config;
-  swor_config.seed = seed * 5 + 2;
-  auto swr = CreateSampler("bop-seq-swr", swr_config).ValueOrDie();
-  auto swor = CreateSampler("bop-seq-swor", swor_config).ValueOrDie();
+  SinkSpec swr_spec;
+  swr_spec.name = "bop-seq-swr";
+  swr_spec.window_n = n;
+  swr_spec.k = k;
+  swr_spec.seed = seed * 5 + 1;
+  SinkSpec swor_spec = Named(swr_spec, "bop-seq-swor");
+  swor_spec.seed = seed * 5 + 2;
+  auto swr = MakeSampler(swr_spec).ValueOrDie();
+  auto swor = MakeSampler(swor_spec).ValueOrDie();
   auto oracle =
       ExactWindow::CreateSequence(n, 1, true, seed * 5 + 3).ValueOrDie();
 
@@ -143,9 +144,9 @@ TEST_P(FuzzSweep, SequenceSamplersAgainstOracle) {
       oracle->Observe(item);
     }
     if (scenario.UniformIndex(15) == 0) {
-      swr = RestoreSampler(SaveSampler(*swr, swr_config).ValueOrDie())
+      swr = RestoreAsSampler(SaveSink(*swr, swr_spec).ValueOrDie())
                 .ValueOrDie();
-      swor = RestoreSampler(SaveSampler(*swor, swor_config).ValueOrDie())
+      swor = RestoreAsSampler(SaveSink(*swor, swor_spec).ValueOrDie())
                  .ValueOrDie();
     }
     std::set<uint64_t> active;

@@ -3,8 +3,8 @@
 // Integration tests: full pipelines (generator -> sampler -> statistics)
 // exercising several modules together, the ExactWindow oracle as a
 // membership checker for every registered sampler, the disjoint-window
-// independence property (Section 1.3.4), and the Theorem 5.1 adapter.
-// Samplers are constructed through the registry so the pipeline exercises
+// independence property (Section 1.3.4), and a Theorem 5.1 estimator.
+// Sinks are constructed through the sink table so the pipeline exercises
 // the same entry point production call sites use.
 
 #include <cmath>
@@ -16,12 +16,11 @@
 #include <gtest/gtest.h>
 
 #include "baseline/exact_window.h"
-#include "core/registry.h"
-#include "core/sliding_adapter.h"
 #include "stats/tests.h"
 #include "stream/arrival.h"
 #include "stream/stream_gen.h"
 #include "stream/value_gen.h"
+#include "test_sinks.h"
 
 namespace swsample {
 namespace {
@@ -38,13 +37,14 @@ TEST(IntegrationTest, AllRegisteredSamplersAgreeWithOracleOnMembership) {
   // One instance of every registered sampler, bucketed by window model.
   std::vector<std::unique_ptr<WindowSampler>> ts_samplers, seq_samplers;
   uint64_t seed = 1;
-  for (const SamplerSpec& spec : RegisteredSamplers()) {
-    SamplerConfig config;
+  for (const SinkInfo& spec : RegisteredSinks(SinkKind::kSampler)) {
+    SinkSpec config;
     config.window_n = seq_n;
     config.window_t = t0;
     config.k = spec.single_sample ? 1 : k;
     config.seed = seed++;
-    auto sampler = CreateSampler(spec.name, config).ValueOrDie();
+    config.name = spec.name;
+    auto sampler = MakeSampler(config).ValueOrDie();
     (spec.model == WindowModel::kTimestamp ? ts_samplers : seq_samplers)
         .push_back(std::move(sampler));
   }
@@ -94,10 +94,11 @@ TEST(IntegrationTest, DisjointWindowSamplesIndependent) {
   const int trials = 80000;
   std::vector<uint64_t> joint(n * n, 0);
   for (int t = 0; t < trials; ++t) {
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = "bop-seq-single";
     config.window_n = n;
     config.seed = 7000 + static_cast<uint64_t>(t);
-    auto s = CreateSampler("bop-seq-single", config).ValueOrDie();
+    auto s = MakeSampler(config).ValueOrDie();
     uint64_t first = 0, second = 0;
     for (uint64_t i = 0; i < 4 * n; ++i) {
       s->Observe(Item{i, i, static_cast<Timestamp>(i)});
@@ -116,10 +117,11 @@ TEST(IntegrationTest, DisjointWindowIndependenceTimestamp) {
   const int trials = 80000;
   std::vector<uint64_t> joint(t0 * t0, 0);
   for (int t = 0; t < trials; ++t) {
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = "bop-ts-single";
     config.window_t = t0;
     config.seed = 90000 + static_cast<uint64_t>(t);
-    auto s = CreateSampler("bop-ts-single", config).ValueOrDie();
+    auto s = MakeSampler(config).ValueOrDie();
     uint64_t first = 0, second = 0;
     for (Timestamp i = 0; i < 8; ++i) {
       s->Observe(Item{static_cast<uint64_t>(i), static_cast<uint64_t>(i), i});
@@ -138,11 +140,12 @@ TEST(IntegrationTest, SampleValuesUncorrelatedAcrossDisjointWindows) {
   const int trials = 4000;
   std::vector<double> xs, ys;
   for (int t = 0; t < trials; ++t) {
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = "bop-seq-swor";
     config.window_n = n;
     config.k = 1;
     config.seed = 333 + static_cast<uint64_t>(t);
-    auto s = CreateSampler("bop-seq-swor", config).ValueOrDie();
+    auto s = MakeSampler(config).ValueOrDie();
     Rng value_rng(5555 + t);
     std::vector<uint64_t> values(2 * n);
     for (auto& v : values) v = value_rng.UniformIndex(1000);
@@ -158,29 +161,22 @@ TEST(IntegrationTest, SampleValuesUncorrelatedAcrossDisjointWindows) {
   EXPECT_LT(std::fabs(PearsonCorrelation(xs, ys)), 0.06);
 }
 
-// Theorem 5.1 adapter: windowed mean via sampling tracks the exact
-// windowed mean of a drifting signal. The adapter consumes any
-// registry-built sampler.
-TEST(IntegrationTest, SlidingAdapterTracksWindowedMean) {
-  const uint64_t n = 256, k = 64;
-  SamplerConfig config;
-  config.window_n = n;
-  config.k = k;
-  config.seed = 11;
-  auto sampler = CreateSampler("bop-seq-swr", config).ValueOrDie();
-  auto estimator = [](const std::vector<Item>& sample) {
-    double acc = 0;
-    for (const Item& item : sample) acc += static_cast<double>(item.value);
-    return sample.empty() ? 0.0 : acc / static_cast<double>(sample.size());
-  };
-  SlidingAdapter adapter(std::move(sampler), estimator);
+// Theorem 5.1: the sample mean run on a window sampler — a single-level
+// biased-mean — tracks the exact windowed mean of a drifting signal.
+TEST(IntegrationTest, SingleLevelBiasedMeanTracksWindowedMean) {
+  const uint64_t n = 256;
+  auto estimator =
+      MakeEstimator(ParseSinkSpec(
+                        "biased-mean@bop-seq-swr,n=256,r=64,seed=11,bias=256:1")
+                        .ValueOrDie())
+          .ValueOrDie();
   auto oracle = ExactWindow::CreateSequence(n, 1, true, 12).ValueOrDie();
 
   // Signal drifts: values around i/4.
   Rng rng(13);
   for (uint64_t i = 0; i < 4 * n; ++i) {
     Item item{i / 4 + rng.UniformIndex(8), i, static_cast<Timestamp>(i)};
-    adapter.Observe(item);
+    estimator->Observe(item);
     oracle->Observe(item);
   }
   double exact_mean = 0;
@@ -188,7 +184,7 @@ TEST(IntegrationTest, SlidingAdapterTracksWindowedMean) {
     exact_mean += static_cast<double>(item.value);
   }
   exact_mean /= static_cast<double>(oracle->size());
-  double est = adapter.Estimate();
+  double est = estimator->Estimate().value;
   EXPECT_NEAR(est / exact_mean, 1.0, 0.1);
 }
 
@@ -198,11 +194,12 @@ TEST(IntegrationTest, FullyDeterministic) {
     auto stream = SyntheticStream(
         ZipfValues::Create(100, 1.1).ValueOrDie(),
         std::move(PoissonBurstArrivals::Create(1.7)).ValueOrDie(), 21);
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = "bop-ts-swor";
     config.window_t = 9;
     config.k = 3;
     config.seed = 22;
-    auto s = CreateSampler("bop-ts-swor", config).ValueOrDie();
+    auto s = MakeSampler(config).ValueOrDie();
     std::vector<uint64_t> trace;
     for (Timestamp t = 0; t < 300; ++t) {
       for (const Item& item : stream.Step()) s->Observe(item);
@@ -217,11 +214,12 @@ TEST(IntegrationTest, FullyDeterministic) {
 // Seq samplers must tolerate items whose timestamps are nonsense (they
 // ignore time entirely).
 TEST(IntegrationTest, SequenceSamplersIgnoreTimestamps) {
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swr";
   config.window_n = 8;
   config.k = 2;
   config.seed = 31;
-  auto s = CreateSampler("bop-seq-swr", config).ValueOrDie();
+  auto s = MakeSampler(config).ValueOrDie();
   for (uint64_t i = 0; i < 40; ++i) {
     s->Observe(Item{i, i, static_cast<Timestamp>(1000 - i)});
     s->AdvanceTime(0);  // no-op

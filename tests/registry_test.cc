@@ -1,7 +1,7 @@
 // Copyright (c) swsample authors. Licensed under the MIT license.
 //
-// Tests for the sampler registry and the batched ingestion path:
-// (1) every registered name constructs from a common SamplerConfig and
+// Tests for the sink table's samplers and the batched ingestion path:
+// (1) every registered name constructs from a common SinkSpec and
 // reports itself under the registry key; (2) invalid names and configs are
 // rejected through the status mechanism; (3) ObserveBatch — including the
 // skip-ahead fast paths of the sequence samplers — is distributionally
@@ -16,13 +16,13 @@
 
 #include <gtest/gtest.h>
 
-#include "core/registry.h"
 #include "stat_check.h"
 #include "stats/tests.h"
 #include "stream/arrival.h"
 #include "stream/driver.h"
 #include "stream/stream_gen.h"
 #include "stream/value_gen.h"
+#include "test_sinks.h"
 
 namespace swsample {
 namespace {
@@ -31,8 +31,8 @@ Item MakeItem(uint64_t i) {
   return Item{i, i, static_cast<Timestamp>(i)};
 }
 
-SamplerConfig BasicConfig(uint64_t seed = 1) {
-  SamplerConfig config;
+SinkSpec BasicConfig(uint64_t seed = 1) {
+  SinkSpec config;
   config.window_n = 32;
   config.window_t = 32;
   config.k = 1;
@@ -41,24 +41,24 @@ SamplerConfig BasicConfig(uint64_t seed = 1) {
 }
 
 TEST(RegistryTest, TwelveSamplersRegistered) {
-  EXPECT_EQ(RegisteredSamplers().size(), 12u);
+  EXPECT_EQ(RegisteredSinks(SinkKind::kSampler).size(), 12u);
 }
 
 TEST(RegistryTest, EveryRegisteredNameConstructs) {
-  for (const SamplerSpec& spec : RegisteredSamplers()) {
-    auto created = CreateSampler(spec.name, BasicConfig());
+  for (const SinkInfo& spec : RegisteredSinks(SinkKind::kSampler)) {
+    auto created = MakeSampler(Named(BasicConfig(), spec.name));
     ASSERT_TRUE(created.ok()) << spec.name << ": "
                               << created.status().ToString();
     auto sampler = std::move(created).ValueOrDie();
     EXPECT_STREQ(sampler->name(), spec.name);
     EXPECT_EQ(sampler->k(), 1u) << spec.name;
-    EXPECT_TRUE(IsRegisteredSampler(spec.name));
+    EXPECT_NE(FindSink(spec.name), nullptr);
   }
 }
 
 TEST(RegistryTest, ConstructedSamplersSampleTheirWindow) {
-  for (const SamplerSpec& spec : RegisteredSamplers()) {
-    auto sampler = CreateSampler(spec.name, BasicConfig()).ValueOrDie();
+  for (const SinkInfo& spec : RegisteredSinks(SinkKind::kSampler)) {
+    auto sampler = MakeSampler(Named(BasicConfig(), spec.name)).ValueOrDie();
     for (uint64_t i = 0; i < 100; ++i) sampler->Observe(MakeItem(i));
     for (const Item& item : sampler->Sample()) {
       // Window 32 in both models covers indices/timestamps [68, 99].
@@ -69,7 +69,7 @@ TEST(RegistryTest, ConstructedSamplersSampleTheirWindow) {
 }
 
 TEST(RegistryTest, UnknownNameRejected) {
-  auto created = CreateSampler("no-such-sampler", BasicConfig());
+  auto created = MakeSampler(Named(BasicConfig(), "no-such-sampler"));
   ASSERT_FALSE(created.ok());
   EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
   // The error should teach the caller the registered names.
@@ -77,14 +77,14 @@ TEST(RegistryTest, UnknownNameRejected) {
 }
 
 TEST(RegistryTest, MissingWindowParameterRejected) {
-  for (const SamplerSpec& spec : RegisteredSamplers()) {
-    SamplerConfig config = BasicConfig();
+  for (const SinkInfo& spec : RegisteredSinks(SinkKind::kSampler)) {
+    SinkSpec config = BasicConfig();
     if (spec.model == WindowModel::kSequence) {
       config.window_n = 0;
     } else {
       config.window_t = 0;
     }
-    auto created = CreateSampler(spec.name, config);
+    auto created = MakeSampler(Named(config, spec.name));
     EXPECT_FALSE(created.ok()) << spec.name;
     EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument)
         << spec.name;
@@ -93,19 +93,19 @@ TEST(RegistryTest, MissingWindowParameterRejected) {
 
 TEST(RegistryTest, SingleVariantsRequireKOne) {
   for (const char* name : {"bop-seq-single", "bop-ts-single"}) {
-    SamplerConfig config = BasicConfig();
+    SinkSpec config = BasicConfig();
     config.k = 2;
-    auto created = CreateSampler(name, config);
+    auto created = MakeSampler(Named(config, name));
     EXPECT_FALSE(created.ok()) << name;
   }
 }
 
 TEST(RegistryTest, SamplerOwnFactoryValidationPropagates) {
   // k > n violates SequenceSworSampler's own 1 <= k <= n precondition.
-  SamplerConfig config = BasicConfig();
+  SinkSpec config = BasicConfig();
   config.window_n = 4;
   config.k = 5;
-  auto created = CreateSampler("bop-seq-swor", config);
+  auto created = MakeSampler(Named(config, "bop-seq-swor"));
   ASSERT_FALSE(created.ok());
   EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
 }
@@ -123,12 +123,13 @@ std::vector<uint64_t> PositionCounts(const char* name, uint64_t n,
   items.reserve(stream_len);
   for (uint64_t i = 0; i < stream_len; ++i) items.push_back(MakeItem(i));
   for (int t = 0; t < trials; ++t) {
-    SamplerConfig config;
+    SinkSpec config;
     config.window_n = n;
     config.window_t = static_cast<Timestamp>(n);
     config.k = 1;
     config.seed = seed + static_cast<uint64_t>(t);
-    auto sampler = CreateSampler(name, config).ValueOrDie();
+    config.name = name;
+    auto sampler = MakeSampler(config).ValueOrDie();
     if (batch == 0) {
       for (const Item& item : items) sampler->Observe(item);
     } else {
@@ -185,9 +186,10 @@ TEST(RegistryTest, BatchMatchesObserveDistributionally) {
 
 // A without-replacement batch sample must stay distinct.
 TEST(RegistryTest, BatchedSworSamplesDistinct) {
-  SamplerConfig config = BasicConfig(77);
+  SinkSpec config = BasicConfig(77);
   config.k = 8;
-  auto sampler = CreateSampler("bop-seq-swor", config).ValueOrDie();
+  config.name = "bop-seq-swor";
+  auto sampler = MakeSampler(config).ValueOrDie();
   std::vector<Item> items;
   for (uint64_t i = 0; i < 500; ++i) items.push_back(MakeItem(i));
   sampler->ObserveBatch(std::span<const Item>(items.data(), 311));
@@ -207,8 +209,8 @@ TEST(RegistryTest, BatchedSworSamplesDistinct) {
 TEST(RegistryTest, DriverDeliversEveryItemToEveryRegisteredSampler) {
   std::vector<Item> items;
   for (uint64_t i = 0; i < 1000; ++i) items.push_back(MakeItem(i));
-  for (const SamplerSpec& spec : RegisteredSamplers()) {
-    auto sampler = CreateSampler(spec.name, BasicConfig(5)).ValueOrDie();
+  for (const SinkInfo& spec : RegisteredSinks(SinkKind::kSampler)) {
+    auto sampler = MakeSampler(Named(BasicConfig(5), spec.name)).ValueOrDie();
     StreamDriver::Options options;
     options.batch_size = 64;
     DriveReport report =
@@ -226,11 +228,12 @@ TEST(RegistryTest, DriverAdvancesClockOnEmptySyntheticSteps) {
   auto stream = SyntheticStream(
       UniformValues::Create(1 << 10).ValueOrDie(),
       std::move(PoissonBurstArrivals::Create(0.2)).ValueOrDie(), 42);
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-ts-swr";
   config.window_t = 10;
   config.k = 1;
   config.seed = 3;
-  auto sampler = CreateSampler("bop-ts-swr", config).ValueOrDie();
+  auto sampler = MakeSampler(config).ValueOrDie();
   StreamDriver::Options options;
   options.batch_size = 32;
   DriveReport report =
@@ -258,7 +261,8 @@ Result<DriveReport> DriveText(const char* text, bool timestamped,
 }
 
 TEST(RegistryTest, DriverSkipsBlankLines) {
-  auto sampler = CreateSampler("bop-seq-swr", BasicConfig(11)).ValueOrDie();
+  auto sampler =
+      MakeSampler(Named(BasicConfig(11), "bop-seq-swr")).ValueOrDie();
   auto result = DriveText("1\n\n2\n   \n\t\n3\n", /*timestamped=*/false,
                           *sampler);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
@@ -266,7 +270,8 @@ TEST(RegistryTest, DriverSkipsBlankLines) {
 }
 
 TEST(RegistryTest, DriverRejectsMalformedLineWithLineNumber) {
-  auto sampler = CreateSampler("bop-seq-swr", BasicConfig(12)).ValueOrDie();
+  auto sampler =
+      MakeSampler(Named(BasicConfig(12), "bop-seq-swr")).ValueOrDie();
   auto result = DriveText("1\n2\nnot-a-number\n4\n", /*timestamped=*/false,
                           *sampler);
   ASSERT_FALSE(result.ok());
@@ -277,7 +282,7 @@ TEST(RegistryTest, DriverRejectsMalformedLineWithLineNumber) {
 }
 
 TEST(RegistryTest, DriverRejectsMalformedTimestampedLine) {
-  auto sampler = CreateSampler("bop-ts-swr", BasicConfig(13)).ValueOrDie();
+  auto sampler = MakeSampler(Named(BasicConfig(13), "bop-ts-swr")).ValueOrDie();
   auto result = DriveText("1 10\n2\n", /*timestamped=*/true, *sampler);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("test-input:2"),
@@ -285,7 +290,7 @@ TEST(RegistryTest, DriverRejectsMalformedTimestampedLine) {
 }
 
 TEST(RegistryTest, DriverRejectsDecreasingTimestamps) {
-  auto sampler = CreateSampler("bop-ts-swr", BasicConfig(14)).ValueOrDie();
+  auto sampler = MakeSampler(Named(BasicConfig(14), "bop-ts-swr")).ValueOrDie();
   auto result = DriveText("5 10\n3 11\n", /*timestamped=*/true, *sampler);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find("non-decreasing"),
@@ -293,7 +298,8 @@ TEST(RegistryTest, DriverRejectsDecreasingTimestamps) {
 }
 
 TEST(RegistryTest, DriverRejectsOverlongLine) {
-  auto sampler = CreateSampler("bop-seq-swr", BasicConfig(15)).ValueOrDie();
+  auto sampler =
+      MakeSampler(Named(BasicConfig(15), "bop-seq-swr")).ValueOrDie();
   std::string text = "1\n" + std::string(300, '7') + "\n";
   auto result = DriveText(text.c_str(), /*timestamped=*/false, *sampler);
   ASSERT_FALSE(result.ok());
@@ -303,7 +309,7 @@ TEST(RegistryTest, DriverRejectsOverlongLine) {
 TEST(RegistryTest, DriverPerItemModeMatchesBatchedItemCount) {
   std::vector<Item> items;
   for (uint64_t i = 0; i < 257; ++i) items.push_back(MakeItem(i));
-  auto sampler = CreateSampler("bdm-chain", BasicConfig(9)).ValueOrDie();
+  auto sampler = MakeSampler(Named(BasicConfig(9), "bdm-chain")).ValueOrDie();
   StreamDriver::Options options;
   options.batch_size = 0;  // per-item Observe
   DriveReport report =

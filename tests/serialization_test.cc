@@ -17,12 +17,12 @@
 #include <gtest/gtest.h>
 
 #include "core/checkpoint.h"
-#include "core/registry.h"
 #include "core/ts_single.h"
 #include "reservoir/reservoir.h"
 #include "stream/arrival.h"
 #include "stream/stream_gen.h"
 #include "stream/value_gen.h"
+#include "test_sinks.h"
 #include "util/serial.h"
 
 namespace swsample {
@@ -153,10 +153,10 @@ TEST(SerialTest, KReservoirRoundTrip) {
 // keep running both the original and the restored sampler in lockstep and
 // require IDENTICAL sample sequences (they share RNG state, so equality
 // is exact).
-void CheckResumedEquivalence(const std::string& name,
-                             const SamplerConfig& config,
+void CheckResumedEquivalence(const std::string& name, SinkSpec config,
                              bool timestamped) {
-  auto original = CreateSampler(name, config).ValueOrDie();
+  config.name = name;
+  auto original = MakeSampler(config).ValueOrDie();
   auto stream = SyntheticStream(
       UniformValues::Create(1 << 16).ValueOrDie(),
       std::move(PoissonBurstArrivals::Create(2.5)).ValueOrDie(), 99);
@@ -165,8 +165,8 @@ void CheckResumedEquivalence(const std::string& name,
     for (const Item& item : stream.Step()) original->Observe(item);
     if (timestamped) original->AdvanceTime(t);
   }
-  std::string blob = SaveSampler(*original, config).ValueOrDie();
-  auto restored = RestoreSampler(blob).ValueOrDie();
+  std::string blob = SaveSink(*original, config).ValueOrDie();
+  auto restored = RestoreAsSampler(blob).ValueOrDie();
   EXPECT_STREQ(restored->name(), original->name());
 
   // Lockstep phase: identical inputs, identical outputs.
@@ -190,7 +190,7 @@ void CheckResumedEquivalence(const std::string& name,
 }
 
 TEST(SerialTest, SeqSwrResumesExactly) {
-  SamplerConfig config;
+  SinkSpec config;
   config.window_n = 64;
   config.k = 4;
   config.seed = 7;
@@ -198,7 +198,7 @@ TEST(SerialTest, SeqSwrResumesExactly) {
 }
 
 TEST(SerialTest, SeqSworResumesExactly) {
-  SamplerConfig config;
+  SinkSpec config;
   config.window_n = 64;
   config.k = 8;
   config.seed = 8;
@@ -206,7 +206,7 @@ TEST(SerialTest, SeqSworResumesExactly) {
 }
 
 TEST(SerialTest, TsSwrResumesExactly) {
-  SamplerConfig config;
+  SinkSpec config;
   config.window_t = 25;
   config.k = 3;
   config.seed = 9;
@@ -214,7 +214,7 @@ TEST(SerialTest, TsSwrResumesExactly) {
 }
 
 TEST(SerialTest, TsSworResumesExactly) {
-  SamplerConfig config;
+  SinkSpec config;
   config.window_t = 25;
   config.k = 5;
   config.seed = 10;
@@ -246,19 +246,20 @@ TEST(SerialTest, TsSingleRoundTripPreservesInvariants) {
 }
 
 TEST(SerialTest, RejectsBadMagicAndForeignKinds) {
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swr";
   config.window_n = 8;
   config.k = 2;
   config.seed = 1;
-  auto s = CreateSampler("bop-seq-swr", config).ValueOrDie();
-  std::string blob = SaveSampler(*s, config).ValueOrDie();
+  auto s = MakeSampler(config).ValueOrDie();
+  std::string blob = SaveSink(*s, config).ValueOrDie();
   std::string bad = blob;
   bad[0] ^= 0xff;
-  EXPECT_FALSE(RestoreSampler(bad).ok());
+  EXPECT_FALSE(RestoreAsSampler(bad).ok());
   // A snapshot envelope must not restore as a sampler and vice versa.
   SamplerSnapshot snapshot;
   std::string snap_blob = SaveSnapshot(snapshot);
-  EXPECT_FALSE(RestoreSampler(snap_blob).ok());
+  EXPECT_FALSE(RestoreAsSampler(snap_blob).ok());
   EXPECT_FALSE(RestoreSnapshot(blob).ok());
   EXPECT_EQ(PeekCheckpointKind(blob).ValueOrDie(), CheckpointKind::kSampler);
   EXPECT_EQ(PeekCheckpointKind(snap_blob).ValueOrDie(),
@@ -266,57 +267,61 @@ TEST(SerialTest, RejectsBadMagicAndForeignKinds) {
 }
 
 TEST(SerialTest, RejectsUnsupportedVersion) {
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-single";
   config.window_n = 8;
   config.k = 1;
-  auto s = CreateSampler("bop-seq-single", config).ValueOrDie();
-  std::string blob = SaveSampler(*s, config).ValueOrDie();
+  auto s = MakeSampler(config).ValueOrDie();
+  std::string blob = SaveSink(*s, config).ValueOrDie();
   blob[8] = 99;  // format-version field (bytes 8..15, little-endian)
-  EXPECT_FALSE(RestoreSampler(blob).ok());
+  EXPECT_FALSE(RestoreAsSampler(blob).ok());
 }
 
 TEST(SerialTest, RejectsTruncationEverywhere) {
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-ts-swor";
   config.window_t = 20;
   config.k = 4;
   config.seed = 2;
-  auto s = CreateSampler("bop-ts-swor", config).ValueOrDie();
+  auto s = MakeSampler(config).ValueOrDie();
   for (Timestamp t = 0; t < 100; ++t) {
     s->Observe(Item{static_cast<uint64_t>(t), static_cast<uint64_t>(t), t});
   }
-  std::string blob = SaveSampler(*s, config).ValueOrDie();
-  ASSERT_TRUE(RestoreSampler(blob).ok());
+  std::string blob = SaveSink(*s, config).ValueOrDie();
+  ASSERT_TRUE(RestoreAsSampler(blob).ok());
   // Every strict prefix must be rejected (never crash).
   for (size_t cut = 0; cut < blob.size(); cut += 7) {
-    EXPECT_FALSE(RestoreSampler(blob.substr(0, cut)).ok()) << "cut=" << cut;
+    EXPECT_FALSE(RestoreAsSampler(blob.substr(0, cut)).ok()) << "cut=" << cut;
   }
 }
 
 TEST(SerialTest, RejectsTrailingGarbage) {
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swor";
   config.window_n = 16;
   config.k = 4;
   config.seed = 3;
-  auto s = CreateSampler("bop-seq-swor", config).ValueOrDie();
+  auto s = MakeSampler(config).ValueOrDie();
   for (uint64_t i = 0; i < 40; ++i) {
     s->Observe(Item{i, i, static_cast<Timestamp>(i)});
   }
-  std::string blob = SaveSampler(*s, config).ValueOrDie();
+  std::string blob = SaveSink(*s, config).ValueOrDie();
   blob += "extra";
-  EXPECT_FALSE(RestoreSampler(blob).ok());
+  EXPECT_FALSE(RestoreAsSampler(blob).ok());
 }
 
 TEST(SerialTest, SaveRejectsUnregisteredOrForeignConfig) {
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swr";
   config.window_n = 8;
   config.k = 2;
-  auto s = CreateSampler("bop-seq-swr", config).ValueOrDie();
+  auto s = MakeSampler(config).ValueOrDie();
   // Envelope config is trusted input to CreateSampler on restore: an
   // invalid one must fail the restore, not crash it.
-  SamplerConfig broken = config;
+  SinkSpec broken = config;
   broken.window_n = 0;
-  std::string blob = SaveSampler(*s, broken).ValueOrDie();
-  EXPECT_FALSE(RestoreSampler(blob).ok());
+  std::string blob = SaveSink(*s, broken).ValueOrDie();
+  EXPECT_FALSE(RestoreAsSampler(blob).ok());
 }
 
 TEST(SerialTest, RestoredSamplerStaysUniform) {
@@ -326,16 +331,17 @@ TEST(SerialTest, RestoredSamplerStaysUniform) {
   const int trials = 30000;
   std::vector<uint64_t> counts(n, 0);
   for (int t = 0; t < trials; ++t) {
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = "bop-seq-swr";
     config.window_n = n;
     config.k = 1;
     config.seed = 5000 + static_cast<uint64_t>(t);
-    auto current = CreateSampler("bop-seq-swr", config).ValueOrDie();
+    auto current = MakeSampler(config).ValueOrDie();
     for (uint64_t i = 0; i < 21; ++i) {
       current->Observe(Item{i, i, static_cast<Timestamp>(i)});
       if (i == 9) {  // checkpoint mid-bucket
-        std::string blob = SaveSampler(*current, config).ValueOrDie();
-        current = RestoreSampler(blob).ValueOrDie();
+        std::string blob = SaveSink(*current, config).ValueOrDie();
+        current = RestoreAsSampler(blob).ValueOrDie();
       }
     }
     auto sample = current->Sample();
@@ -356,13 +362,14 @@ TEST(SerialTest, RestoredSamplerStaysUniform) {
 TEST(SerialTest, SnapshotRoundTripsAndMergesAcrossProcesses) {
   // Two shards snapshot, the blobs travel, and the restored snapshots
   // merge exactly as the in-process originals would.
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swor";
   config.window_n = 32;
   config.k = 4;
   config.seed = 21;
-  auto a = CreateSampler("bop-seq-swor", config).ValueOrDie();
+  auto a = MakeSampler(config).ValueOrDie();
   config.seed = 22;
-  auto b = CreateSampler("bop-seq-swor", config).ValueOrDie();
+  auto b = MakeSampler(config).ValueOrDie();
   for (uint64_t i = 0; i < 100; ++i) {
     a->Observe(Item{i, i, static_cast<Timestamp>(i)});
     b->Observe(Item{1000 + i, i, static_cast<Timestamp>(i)});

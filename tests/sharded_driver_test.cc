@@ -17,16 +17,15 @@
 #include <vector>
 
 #include "apps/estimator.h"
-#include "apps/estimator_registry.h"
 #include "apps/sink_spec.h"
 #include "baseline/exact_window.h"
 #include "core/api.h"
-#include "core/registry.h"
 #include "stats/tests.h"
 #include "stream/arrival.h"
 #include "stream/sharded_driver.h"
 #include "stream/stream_gen.h"
 #include "stream/value_gen.h"
+#include "test_sinks.h"
 
 namespace swsample {
 namespace {
@@ -59,10 +58,11 @@ ShardedStreamDriver::Options SmallChunkOptions(uint64_t threads,
 
 TEST(ShardedDriverTest, ValidatesOptionsAndShards) {
   const std::vector<Item> stream = IdentityStream(16);
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swr";
   config.window_n = 8;
   config.k = 2;
-  auto sampler = CreateSampler("bop-seq-swr", config).ValueOrDie();
+  auto sampler = MakeSampler(config).ValueOrDie();
   std::vector<StreamSink*> sinks = {sampler.get()};
 
   ShardedStreamDriver::Options bad;
@@ -82,11 +82,12 @@ TEST(ShardedDriverTest, ValidatesOptionsAndShards) {
 }
 
 TEST(CreateShardedSinksTest, SplitsSequenceWindowsAndForksSeeds) {
-  SamplerConfig config;
+  SinkSpec config;
   config.window_n = 4096;
   config.k = 8;
   config.seed = 5;
-  auto replicas = CreateShardedSinks(SamplerSinkSpec("bop-seq-swr", config), 4).ValueOrDie();
+  auto replicas =
+      CreateShardedSinks(Named(config, "bop-seq-swr"), 4).ValueOrDie();
   ASSERT_EQ(replicas.size(), 4u);
   // Each replica carries a 1024-item window: after 2048 identical items
   // its snapshot occupancy is the shard window, not the global one.
@@ -98,15 +99,15 @@ TEST(CreateShardedSinksTest, SplitsSequenceWindowsAndForksSeeds) {
     EXPECT_EQ(replica.sampler->Snapshot().ValueOrDie().active, 1024u);
   }
 
-  EXPECT_FALSE(CreateShardedSinks(SamplerSinkSpec("no-such-sampler", config), 2).ok());
+  EXPECT_FALSE(CreateShardedSinks(Named(config, "no-such-sampler"), 2).ok());
   config.window_n = 4098;  // not divisible by 4
-  EXPECT_FALSE(CreateShardedSinks(SamplerSinkSpec("bop-seq-swr", config), 4).ok());
+  EXPECT_FALSE(CreateShardedSinks(Named(config, "bop-seq-swr"), 4).ok());
   config.window_n = 2;  // smaller than the shard count
-  EXPECT_FALSE(CreateShardedSinks(SamplerSinkSpec("bop-seq-swr", config), 4).ok());
+  EXPECT_FALSE(CreateShardedSinks(Named(config, "bop-seq-swr"), 4).ok());
 
   // Timestamp windows pass through unsplit.
   config.window_t = 4098;
-  auto ts = CreateShardedSinks(SamplerSinkSpec("exact-ts", config), 4).ValueOrDie();
+  auto ts = CreateShardedSinks(Named(config, "exact-ts"), 4).ValueOrDie();
   EXPECT_EQ(ts.size(), 4u);
 }
 
@@ -114,11 +115,12 @@ TEST(ShardedDriverTest, ConservesItemsAcrossPartitionModes) {
   const std::vector<Item> stream = IdentityStream(kItems);
   for (ShardPartition partition :
        {ShardPartition::kChunks, ShardPartition::kKeyHash}) {
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = "bop-seq-swr";
     config.window_n = kWindow;
     config.k = 8;
     auto replicas =
-        CreateShardedSinks(SamplerSinkSpec("bop-seq-swr", config), 4).ValueOrDie();
+        CreateShardedSinks(config, 4).ValueOrDie();
     auto sinks = SinkPointers(replicas);
     auto report = ShardedStreamDriver(SmallChunkOptions(4, partition))
                       .Drive(stream, sinks)
@@ -138,10 +140,11 @@ TEST(ShardedDriverTest, ConservesItemsAcrossPartitionModes) {
 
 TEST(ShardedDriverTest, BackpressureCompletesAndConserves) {
   const std::vector<Item> stream = IdentityStream(kItems);
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swor";
   config.window_n = kWindow;
   config.k = 4;
-  auto replicas = CreateShardedSinks(SamplerSinkSpec("bop-seq-swor", config), 8).ValueOrDie();
+  auto replicas = CreateShardedSinks(config, 8).ValueOrDie();
   auto sinks = SinkPointers(replicas);
   ShardedStreamDriver::Options options;
   options.threads = 3;  // shards > threads: workers own several replicas
@@ -182,12 +185,12 @@ TEST_P(MergedUniformityTest, MergedSampleUniformOverExactWindow) {
   options.chunk_items = 32;
   std::vector<uint64_t> counts(16, 0);  // 16 cells across the window
   for (uint64_t trial = 0; trial < kTrials; ++trial) {
-    SamplerConfig config;
+    SinkSpec config;
     config.window_n = kUWindow;
     config.k = kK;
     config.seed = trial * 31 + 7;
     auto replicas =
-        CreateShardedSinks(SamplerSinkSpec(sampler_name, config), shards).ValueOrDie();
+        CreateShardedSinks(Named(config, sampler_name), shards).ValueOrDie();
     auto sinks = SinkPointers(replicas);
     auto report =
         ShardedStreamDriver(options).Drive(stream, sinks).ValueOrDie();
@@ -219,12 +222,13 @@ INSTANTIATE_TEST_SUITE_P(
 // global window occupancy under chunk partitioning.
 TEST(ShardedEstimatorTest, WindowCountSumsExactly) {
   const std::vector<Item> stream = IdentityStream(kItems);
-  EstimatorConfig config;
+  SinkSpec config;
+  config.name = "window-count";
   config.substrate = "bop-seq-single";
   config.window_n = kWindow;
   config.r = 1;
   auto replicas =
-      CreateShardedSinks(EstimatorSinkSpec("window-count", config), 4).ValueOrDie();
+      CreateShardedSinks(config, 4).ValueOrDie();
   auto sinks = SinkPointers(replicas);
   auto report =
       ShardedStreamDriver(SmallChunkOptions(4, ShardPartition::kChunks))
@@ -262,12 +266,12 @@ TEST(ShardedEstimatorTest, KeyedMergesMatchSingleShardEstimates) {
   }
 
   for (const char* name : {"ams-fk", "ccm-entropy"}) {
-    EstimatorConfig config;
+    SinkSpec config;
     config.substrate = "exact-ts";
     config.window_t = kWindow;  // ts == index, so last kWindow items active
     config.r = 512;
     config.seed = 17;
-    auto replicas = CreateShardedSinks(EstimatorSinkSpec(name, config), 4).ValueOrDie();
+    auto replicas = CreateShardedSinks(Named(config, name), 4).ValueOrDie();
     auto sinks = SinkPointers(replicas);
     auto report =
         ShardedStreamDriver(SmallChunkOptions(4, ShardPartition::kKeyHash))
@@ -292,12 +296,13 @@ TEST(ShardedEstimatorTest, ConstantMeanSurvivesMergeExactly) {
   for (uint64_t i = 0; i < kItems; ++i) {
     stream.push_back(Item{42, i, static_cast<Timestamp>(i)});
   }
-  EstimatorConfig config;
+  SinkSpec config;
+  config.name = "biased-mean";
   config.substrate = "bop-seq-swr";
   config.window_n = kWindow;
   config.r = 8;
   auto replicas =
-      CreateShardedSinks(EstimatorSinkSpec("biased-mean", config), 4).ValueOrDie();
+      CreateShardedSinks(config, 4).ValueOrDie();
   auto sinks = SinkPointers(replicas);
   ASSERT_TRUE(ShardedStreamDriver(SmallChunkOptions(4, ShardPartition::kChunks))
                   .Drive(stream, sinks)
@@ -315,13 +320,14 @@ TEST(ShardedEstimatorTest, MergeCapabilityMatrix) {
       {"dkw-quantile", EstimateMergeKind::kNone},
       {"buriol-triangles", EstimateMergeKind::kNone},
   };
-  for (const EstimatorSpec& spec : RegisteredEstimators()) {
-    EstimatorConfig config;
+  for (const SinkInfo& spec : RegisteredSinks(SinkKind::kEstimator)) {
+    SinkSpec config;
     config.window_n = 256;
     config.window_t = 256;
     config.r = spec.name == std::string_view("dkw-quantile") ? 8 : 4;
     config.num_vertices = 16;
-    auto estimator = CreateEstimator(spec.name, config).ValueOrDie();
+    config.name = spec.name;
+    auto estimator = MakeEstimator(config).ValueOrDie();
     ASSERT_TRUE(expected.count(spec.name)) << spec.name;
     EXPECT_EQ(estimator->merge_kind(), expected.at(spec.name)) << spec.name;
   }
@@ -351,13 +357,14 @@ TEST(ShardedDriverTest, SyntheticTimestampCountsTrackExact) {
     }
   }
 
-  EstimatorConfig config;
+  SinkSpec config;
+  config.name = "window-count";
   config.substrate = "bop-ts-single";
   config.window_t = kT0;
   config.r = 1;
   config.count_eps = 0.05;
   auto replicas =
-      CreateShardedSinks(EstimatorSinkSpec("window-count", config), 4).ValueOrDie();
+      CreateShardedSinks(config, 4).ValueOrDie();
   auto sinks = SinkPointers(replicas);
   auto stream = make_stream();
   auto report =
@@ -391,10 +398,11 @@ TEST(ShardedDriverTest, DriveFileParsesAndPropagatesErrors) {
     std::fclose(f);
   }
 
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-swr";
   config.window_n = 512;
   config.k = 4;
-  auto replicas = CreateShardedSinks(SamplerSinkSpec("bop-seq-swr", config), 2).ValueOrDie();
+  auto replicas = CreateShardedSinks(config, 2).ValueOrDie();
   auto sinks = SinkPointers(replicas);
   ShardedStreamDriver driver(SmallChunkOptions(2, ShardPartition::kChunks));
   auto good = driver.DriveFile(good_path, /*timestamped=*/false, sinks);

@@ -16,7 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "apps/sink_spec.h"
-#include "core/registry.h"
+#include "test_sinks.h"
 #include "util/rng.h"
 
 namespace swsample {
@@ -98,7 +98,7 @@ TEST(SinkSpecParseTest, RejectsBadInput) {
 }
 
 TEST(SinkSpecFactoryTest, ConstructsEveryRegisteredSampler) {
-  for (const SamplerSpec& reg : RegisteredSamplers()) {
+  for (const SinkInfo& reg : RegisteredSinks(SinkKind::kSampler)) {
     SinkSpec spec;
     spec.name = reg.name;
     spec.window_n = 256;
@@ -115,7 +115,7 @@ TEST(SinkSpecFactoryTest, ConstructsEveryRegisteredSampler) {
 }
 
 TEST(SinkSpecFactoryTest, ConstructsEveryRegisteredEstimator) {
-  for (const EstimatorSpec& reg : RegisteredEstimators()) {
+  for (const SinkInfo& reg : RegisteredSinks(SinkKind::kEstimator)) {
     SinkSpec spec;
     spec.name = reg.name;
     spec.window_n = 256;
@@ -129,6 +129,9 @@ TEST(SinkSpecFactoryTest, ConstructsEveryRegisteredEstimator) {
     EXPECT_EQ(sink.value().sampler, nullptr) << reg.name;
     EXPECT_EQ(sink.value().kind(), SinkKind::kEstimator);
     EXPECT_STREQ(sink.value().sink->name(), reg.name);
+    // An estimator row's model is its default substrate's.
+    EXPECT_EQ(reg.model, FindSink(reg.default_substrate)->model) << reg.name;
+    EXPECT_EQ(reg.model, SinkWindowModel(spec).ValueOrDie()) << reg.name;
   }
 }
 
@@ -240,10 +243,10 @@ TEST(SinkSpecPersistTest, EstimatorSaveRestoreRoundTripsBitExactly) {
 
 TEST(SinkSpecListTest, FormatSinkListMentionsEveryRegisteredName) {
   const std::string list = FormatSinkList();
-  for (const SamplerSpec& reg : RegisteredSamplers()) {
+  for (const SinkInfo& reg : RegisteredSinks(SinkKind::kSampler)) {
     EXPECT_NE(list.find(reg.name), std::string::npos) << reg.name;
   }
-  for (const EstimatorSpec& reg : RegisteredEstimators()) {
+  for (const SinkInfo& reg : RegisteredSinks(SinkKind::kEstimator)) {
     EXPECT_NE(list.find(reg.name), std::string::npos) << reg.name;
   }
   const std::string names = RegisteredSinkNames();

@@ -11,11 +11,11 @@
 
 #include <gtest/gtest.h>
 
-#include "core/registry.h"
 #include "stream/arrival.h"
 #include "stream/driver.h"
 #include "stream/stream_gen.h"
 #include "stream/value_gen.h"
+#include "test_sinks.h"
 #include "util/rng.h"
 #include "util/serial.h"
 
@@ -208,13 +208,14 @@ class DriverEquivalenceTest : public ::testing::Test {
   /// on same-seeded samplers and requires identical outcomes.
   void ExpectEquivalent(const std::string& text, bool timestamped) {
     WriteFile(text);
-    SamplerConfig config;
+    SinkSpec config;
+    config.name = "bop-seq-swr";
     config.window_n = 8;
     config.window_t = 8;
     config.k = 4;
     config.seed = 42;
-    auto mapped = CreateSampler("bop-seq-swr", config).ValueOrDie();
-    auto stdio = CreateSampler("bop-seq-swr", config).ValueOrDie();
+    auto mapped = MakeSampler(config).ValueOrDie();
+    auto stdio = MakeSampler(config).ValueOrDie();
     StreamDriver driver;
 
     auto mapped_result = driver.DriveFile(path_, timestamped, *mapped);
@@ -274,12 +275,13 @@ TEST_F(DriverEquivalenceTest, NulInsideOverlongLineRejectedByBothPaths) {
   const std::string text =
       "1\n" + (std::string("7") + '\0' + std::string(300, 'x')) + "\n2\n";
   WriteFile(text);
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-single";
   config.window_n = 4;
   config.k = 1;
   config.seed = 1;
-  auto mapped = CreateSampler("bop-seq-single", config).ValueOrDie();
-  auto stdio = CreateSampler("bop-seq-single", config).ValueOrDie();
+  auto mapped = MakeSampler(config).ValueOrDie();
+  auto stdio = MakeSampler(config).ValueOrDie();
   StreamDriver driver;
   auto mapped_result = driver.DriveFile(path_, false, *mapped);
   std::FILE* f = std::fopen(path_.c_str(), "r");
@@ -314,11 +316,12 @@ TEST_F(DriverEquivalenceTest, OverlongLineSameError) {
 
 TEST_F(DriverEquivalenceTest, MalformedErrorNamesLine) {
   WriteFile("1\n2\nbad line\n");
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-single";
   config.window_n = 4;
   config.k = 1;
   config.seed = 1;
-  auto sampler = CreateSampler("bop-seq-single", config).ValueOrDie();
+  auto sampler = MakeSampler(config).ValueOrDie();
   auto result = StreamDriver().DriveFile(path_, false, *sampler);
   ASSERT_FALSE(result.ok());
   EXPECT_NE(result.status().message().find(path_ + ":3"), std::string::npos)
@@ -329,22 +332,24 @@ TEST_F(DriverEquivalenceTest, MalformedErrorNamesLine) {
 
 TEST_F(DriverEquivalenceTest, EmptyFileDeliversNothing) {
   WriteFile("");
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-single";
   config.window_n = 4;
   config.k = 1;
   config.seed = 1;
-  auto sampler = CreateSampler("bop-seq-single", config).ValueOrDie();
+  auto sampler = MakeSampler(config).ValueOrDie();
   auto result = StreamDriver().DriveFile(path_, false, *sampler);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().items, 0u);
 }
 
 TEST(DriveBufferTest, ParsesDirectlyFromMemory) {
-  SamplerConfig config;
+  SinkSpec config;
+  config.name = "bop-seq-single";
   config.window_n = 4;
   config.k = 1;
   config.seed = 3;
-  auto sampler = CreateSampler("bop-seq-single", config).ValueOrDie();
+  auto sampler = MakeSampler(config).ValueOrDie();
   auto result = StreamDriver().DriveBuffer("10\n20\n\n30\n", "mem",
                                            /*timestamped=*/false, *sampler);
   ASSERT_TRUE(result.ok()) << result.status().ToString();

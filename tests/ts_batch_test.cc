@@ -21,9 +21,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/registry.h"
 #include "stat_check.h"
 #include "stats/tests.h"
+#include "test_sinks.h"
 
 namespace swsample {
 namespace {
@@ -62,11 +62,12 @@ std::vector<uint64_t> TsPositionCounts(const char* name, uint64_t k,
   const std::vector<Item> items = MakeTsStream();
   std::vector<uint64_t> counts(kActive, 0);
   for (int t = 0; t < trials; ++t) {
-    SamplerConfig config;
+    SinkSpec config;
     config.window_t = kT0;
     config.k = k;
     config.seed = seed + static_cast<uint64_t>(t);
-    auto sampler = CreateSampler(name, config).ValueOrDie();
+    config.name = name;
+    auto sampler = MakeSampler(config).ValueOrDie();
     if (batch == 0) {
       for (const Item& item : items) sampler->Observe(item);
     } else {

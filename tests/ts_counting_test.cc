@@ -1,7 +1,7 @@
 // Copyright (c) swsample authors. Licensed under the MIT license.
 //
 // Tests for the timestamp-window payload tracker and the timestamp halves
-// of Corollaries 5.2/5.4 behind the estimator registry: forward counts
+// of Corollaries 5.2/5.4 behind the sink table: forward counts
 // must be exact for the sampled position, candidates must survive merges
 // and re-straddling (item-wise AND batched), and F_k / entropy estimates
 // must track the exact windowed value with the extra (1 +/- eps) count
@@ -16,10 +16,10 @@
 
 #include <gtest/gtest.h>
 
-#include "apps/estimator_registry.h"
 #include "apps/payload_substrate.h"
 #include "stats/exact.h"
 #include "stream/value_gen.h"
+#include "test_sinks.h"
 #include "util/rng.h"
 
 namespace swsample {
@@ -118,9 +118,10 @@ TEST(TsForwardCountTest, MemoryStaysLogarithmic) {
   EXPECT_LT(max_words, 1000u);  // O(log n) structures + payload map
 }
 
-EstimatorConfig TsConfig(Timestamp t0, uint64_t r, double count_eps,
-                         uint64_t seed) {
-  EstimatorConfig config;
+SinkSpec TsConfig(const char* name, Timestamp t0, uint64_t r,
+                  double count_eps, uint64_t seed) {
+  SinkSpec config;
+  config.name = name;
   config.substrate = "bop-ts-single";
   config.window_t = t0;
   config.r = r;
@@ -130,17 +131,17 @@ EstimatorConfig TsConfig(Timestamp t0, uint64_t r, double count_eps,
 }
 
 TEST(TsFkEstimatorTest, CreateValidation) {
-  EXPECT_FALSE(CreateEstimator("ams-fk", TsConfig(0, 8, 0.1, 1)).ok());
-  EstimatorConfig bad_moment = TsConfig(8, 8, 0.1, 1);
+  EXPECT_FALSE(MakeEstimator(TsConfig("ams-fk", 0, 8, 0.1, 1)).ok());
+  SinkSpec bad_moment = TsConfig("ams-fk", 8, 8, 0.1, 1);
   bad_moment.moment = 0;
-  EXPECT_FALSE(CreateEstimator("ams-fk", bad_moment).ok());
-  EXPECT_FALSE(CreateEstimator("ams-fk", TsConfig(8, 0, 0.1, 1)).ok());
-  EXPECT_FALSE(CreateEstimator("ams-fk", TsConfig(8, 8, 0.0, 1)).ok());
-  EXPECT_TRUE(CreateEstimator("ams-fk", TsConfig(8, 8, 0.1, 1)).ok());
+  EXPECT_FALSE(MakeEstimator(bad_moment).ok());
+  EXPECT_FALSE(MakeEstimator(TsConfig("ams-fk", 8, 0, 0.1, 1)).ok());
+  EXPECT_FALSE(MakeEstimator(TsConfig("ams-fk", 8, 8, 0.0, 1)).ok());
+  EXPECT_TRUE(MakeEstimator(TsConfig("ams-fk", 8, 8, 0.1, 1)).ok());
 }
 
 TEST(TsFkEstimatorTest, EmptyWindowEstimatesZero) {
-  auto est = CreateEstimator("ams-fk", TsConfig(5, 8, 0.1, 2)).ValueOrDie();
+  auto est = MakeEstimator(TsConfig("ams-fk", 5, 8, 0.1, 2)).ValueOrDie();
   EXPECT_DOUBLE_EQ(est->Estimate().value, 0.0);
   est->Observe(Item{1, 0, 0});
   est->AdvanceTime(100);
@@ -152,9 +153,9 @@ TEST(TsFkEstimatorTest, F1TracksWindowSizeUnderBurst) {
   // exactly the histogram's n-hat, so the error is the EH eps alone. The
   // bursty stream with AdvanceTime-only steps exercises expiry under the
   // clock, the satellite correctness requirement.
-  EstimatorConfig config = TsConfig(64, 4, 0.05, 3);
+  SinkSpec config = TsConfig("ams-fk", 64, 4, 0.05, 3);
   config.moment = 1;
-  auto est = CreateEstimator("ams-fk", config).ValueOrDie();
+  auto est = MakeEstimator(config).ValueOrDie();
   Rng rng(4);
   uint64_t index = 0;
   std::deque<Timestamp> active;
@@ -174,15 +175,15 @@ TEST(TsFkEstimatorTest, F1TracksWindowSizeUnderBurst) {
 }
 
 TEST(TsEntropyEstimatorTest, CreateValidation) {
-  EXPECT_FALSE(CreateEstimator("ccm-entropy", TsConfig(0, 8, 0.1, 1)).ok());
-  EXPECT_FALSE(CreateEstimator("ccm-entropy", TsConfig(8, 0, 0.1, 1)).ok());
-  EXPECT_FALSE(CreateEstimator("ccm-entropy", TsConfig(8, 8, 0.0, 1)).ok());
-  EXPECT_TRUE(CreateEstimator("ccm-entropy", TsConfig(8, 8, 0.1, 1)).ok());
+  EXPECT_FALSE(MakeEstimator(TsConfig("ccm-entropy", 0, 8, 0.1, 1)).ok());
+  EXPECT_FALSE(MakeEstimator(TsConfig("ccm-entropy", 8, 0, 0.1, 1)).ok());
+  EXPECT_FALSE(MakeEstimator(TsConfig("ccm-entropy", 8, 8, 0.0, 1)).ok());
+  EXPECT_TRUE(MakeEstimator(TsConfig("ccm-entropy", 8, 8, 0.1, 1)).ok());
 }
 
 TEST(TsEntropyEstimatorTest, ConstantStreamNearZero) {
   auto est =
-      CreateEstimator("ccm-entropy", TsConfig(64, 2000, 0.05, 2)).ValueOrDie();
+      MakeEstimator(TsConfig("ccm-entropy", 64, 2000, 0.05, 2)).ValueOrDie();
   uint64_t index = 0;
   for (Timestamp t = 0; t < 200; ++t) {
     est->Observe(Item{7, index++, t});
@@ -194,7 +195,7 @@ TEST(TsEntropyEstimatorTest, ConstantStreamNearZero) {
 TEST(TsEntropyEstimatorTest, CloseToExactOnZipfWindow) {
   const Timestamp t0 = 512;
   auto est =
-      CreateEstimator("ccm-entropy", TsConfig(t0, 2500, 0.05, 3)).ValueOrDie();
+      MakeEstimator(TsConfig("ccm-entropy", t0, 2500, 0.05, 3)).ValueOrDie();
   auto gen = ZipfValues::Create(32, 1.0).ValueOrDie();
   Rng rng(4);
   std::deque<std::pair<Timestamp, uint64_t>> window;
@@ -220,7 +221,7 @@ TEST(TsEntropyEstimatorTest, CloseToExactOnZipfWindow) {
 TEST(TsFkEstimatorTest, F2CloseToExactOnSkewedWindow) {
   const Timestamp t0 = 512;
   auto est =
-      CreateEstimator("ams-fk", TsConfig(t0, 1500, 0.05, 5)).ValueOrDie();
+      MakeEstimator(TsConfig("ams-fk", t0, 1500, 0.05, 5)).ValueOrDie();
   auto gen = ZipfValues::Create(8, 1.4).ValueOrDie();
   Rng rng(6);
   std::deque<std::pair<Timestamp, uint64_t>> window;
@@ -249,10 +250,10 @@ TEST(WindowCountTest, TracksActiveCountUnderBurst) {
   // window-count over the DGIM substrate vs the exact-ts oracle on the
   // same bursty stream with AdvanceTime gaps: the oracle is exact, the
   // histogram within eps.
-  EstimatorConfig config = TsConfig(32, 1, 0.05, 7);
-  auto dgim = CreateEstimator("window-count", config).ValueOrDie();
+  SinkSpec config = TsConfig("window-count", 32, 1, 0.05, 7);
+  auto dgim = MakeEstimator(config).ValueOrDie();
   config.substrate = "exact-ts";
-  auto oracle = CreateEstimator("window-count", config).ValueOrDie();
+  auto oracle = MakeEstimator(config).ValueOrDie();
   Rng rng(8);
   std::deque<Timestamp> active;
   uint64_t index = 0;
