@@ -316,7 +316,7 @@ TEST(SerialTest, SaveRejectsUnregisteredOrForeignConfig) {
   config.window_n = 8;
   config.k = 2;
   auto s = MakeSampler(config).ValueOrDie();
-  // Envelope config is trusted input to CreateSampler on restore: an
+  // Envelope config is trusted input to CreateSink on restore: an
   // invalid one must fail the restore, not crash it.
   SinkSpec broken = config;
   broken.window_n = 0;
