@@ -127,9 +127,10 @@ int main() {
 
   // --- Estimator layer: the same comparison over the estimators.
   // dkw-quantile inherits the sampler fast path wholesale;
-  // ams-fk/ccm-entropy amortize the per-item reservoir draw with the
-  // PayloadWindowUnit skip-ahead (payload updates stay per item, so the
-  // margin is narrower than for raw samplers by design).
+  // ams-fk/ccm-entropy on the sequence substrate amortize the per-item
+  // reservoir draw with the PayloadWindowUnit skip-ahead (its payload
+  // updates stay per item, so the margin is narrower than for raw
+  // samplers by design).
   std::printf("\n-- estimators (default substrates, r=64) --\n");
   Row({"estimator", "per-item", "batch=64", "batch=1k", "batch=16k",
        "unit"});
@@ -144,9 +145,11 @@ int main() {
                [&] { return CreateSink(spec).ValueOrDie().sink; });
   }
 
-  // --- Timestamp substrates: the flat-map candidate state + batched
-  // merge coins are exactly what this block exercises. Smaller stream and
-  // r: the ts units carry O(log n) payload candidates each.
+  // --- Timestamp substrates: each unit's sampler takes the batch through
+  // its own ObserveBatch, the DGIM histogram through AddBatch, and the
+  // forward counts of all r units' O(log n) candidates are settled by one
+  // shared value-indexed pass per batch (apps/ts_payload.h), so payload
+  // work no longer runs per item. Smaller stream and r than above.
   const uint64_t ts_items = std::max<uint64_t>(kItems / 8, 1);
   const std::vector<Item> ts_stream = MakeStream(ts_items, /*seed=*/16);
   std::printf("\n-- estimators (bop-ts-single substrate, r=8) --\n");

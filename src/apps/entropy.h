@@ -50,6 +50,8 @@ class EntropyEstimator final : public WindowEstimator {
     return sizeof(*this) + substrate_.RetainedBytes();
   }
   const char* name() const override { return "ccm-entropy"; }
+  /// The sampling units, for white-box checks of their per-unit payloads.
+  Substrate& substrate() { return substrate_; }
   /// Shard entropies combine by the Shannon grouping rule when shards
   /// hold disjoint key sets (key-hash partitioning).
   EstimateMergeKind merge_kind() const override {

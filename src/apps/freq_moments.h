@@ -48,6 +48,8 @@ class FkEstimator final : public WindowEstimator {
     return sizeof(*this) + substrate_.RetainedBytes();
   }
   const char* name() const override { return "ams-fk"; }
+  /// The sampling units, for white-box checks of their per-unit payloads.
+  Substrate& substrate() { return substrate_; }
   /// F_k is additive across disjoint shards: every occurrence of a value
   /// lands in one shard under key-hash partitioning, so shard moments sum.
   EstimateMergeKind merge_kind() const override {

@@ -17,6 +17,10 @@
 //    DGIM exponential histogram for the window size, which is unknowable
 //    exactly in the timestamp model (Section 1.3.2); estimates inherit the
 //    (1 +/- eps) factor, exactly the composition Theorem 5.1 describes.
+//    For the forward-count payload (ams-fk, ccm-entropy) a batch costs one
+//    sampler ObserveBatch per unit, one histogram AddBatch, and ONE shared
+//    ForwardCounts pass that settles every unit's counts (see
+//    apps/ts_payload.h); item-wise Observe is a one-item batch.
 //  * kExactSeq / kExactTs ("exact-seq"/"exact-ts"): the full-window
 //    oracle, O(n) words — ground truth for the benches' substrate sweeps.
 
@@ -46,39 +50,6 @@ enum class SubstrateKind {
   kExactSeq,  ///< full-window oracle, sequence window
   kExactTs,   ///< full-window oracle, timestamp window
 };
-
-/// The forward occurrence-count payload shared by the frequency-moment and
-/// entropy estimators: occurrences of the sampled value at/after the
-/// sampled position.
-struct CountPayload {
-  uint64_t value = 0;
-  uint64_t count = 0;
-};
-struct CountOnSampled {
-  CountPayload operator()(const Item& item) const {
-    return CountPayload{item.value, 1};
-  }
-};
-struct CountOnArrival {
-  void operator()(CountPayload& p, const Item& item) const {
-    if (item.value == p.value) ++p.count;
-  }
-};
-
-/// Wire codec for CountPayload (the payload units serialize payloads
-/// through these unqualified overloads; estimators with custom payloads
-/// provide their own, e.g. apps/triangles.h).
-inline void SavePayload(const CountPayload& p, BinaryWriter* w) {
-  w->PutU64(p.value);
-  w->PutU64(p.count);
-}
-inline bool LoadPayload(BinaryReader* r, CountPayload* p) {
-  return r->GetU64(&p->value) && r->GetU64(&p->count) && p->count >= 1;
-}
-
-/// The timestamp-window forward-count tracker (white-box tested).
-using TsForwardCountUnit =
-    TsPayloadUnit<CountPayload, CountOnSampled, CountOnArrival>;
 
 /// Construction parameters shared by every PayloadSubstrate instantiation.
 struct PayloadSubstrateParams {
@@ -154,8 +125,12 @@ class PayloadSubstrate {
         for (auto& unit : seq_units_) unit.Observe(item, rng_);
         break;
       case SubstrateKind::kTsUnits:
-        histogram_->Add(item.timestamp);
-        for (auto& unit : ts_units_) unit.Observe(item);
+        if constexpr (TsUnit::kForwardCounts) {
+          ObserveBatch(std::span<const Item>(&item, 1));
+        } else {
+          histogram_->Add(item.timestamp);
+          for (auto& unit : ts_units_) unit.Observe(item);
+        }
         break;
       default:
         oracle_->Observe(item);
@@ -168,8 +143,12 @@ class PayloadSubstrate {
         for (auto& unit : seq_units_) unit.ObserveBatch(items, rng_);
         break;
       case SubstrateKind::kTsUnits:
-        for (const Item& item : items) histogram_->Add(item.timestamp);
-        for (auto& unit : ts_units_) unit.ObserveBatch(items);
+        histogram_->AddBatch(items);
+        if constexpr (TsUnit::kForwardCounts) {
+          TsUnit::ObserveCounts(ts_units_, items, &forward_counts_);
+        } else {
+          for (auto& unit : ts_units_) unit.ObserveBatch(items);
+        }
         break;
       default:
         oracle_->ObserveBatch(items);
@@ -253,7 +232,8 @@ class PayloadSubstrate {
 
   /// Heap bytes retained beyond the object footprint: unit-vector
   /// capacities plus each unit's arena/table reservations (the sequence
-  /// units hold their slots inline, so their capacity bytes cover them).
+  /// units hold their slots inline, so their capacity bytes cover them)
+  /// and the shared forward-count scratch.
   uint64_t RetainedBytes() const {
     uint64_t bytes = seq_units_.capacity() * sizeof(SeqUnit) +
                      ts_units_.capacity() * sizeof(TsUnit);
@@ -261,7 +241,7 @@ class PayloadSubstrate {
       case SubstrateKind::kSeqUnits:
         break;
       case SubstrateKind::kTsUnits:
-        bytes += histogram_->RetainedBytes();
+        bytes += histogram_->RetainedBytes() + forward_counts_.RetainedBytes();
         for (const auto& unit : ts_units_) bytes += unit.RetainedBytes();
         break;
       default:
@@ -329,6 +309,7 @@ class PayloadSubstrate {
   std::vector<TsUnit> ts_units_;
   std::optional<ExpHistogram> histogram_;
   std::optional<Oracle> oracle_;
+  ForwardCounts forward_counts_;  // kTsUnits count-batch scratch
 };
 
 }  // namespace swsample

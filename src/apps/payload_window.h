@@ -149,7 +149,9 @@ class PayloadWindowUnit {
 
   /// Checkpointing: counters plus both payload-carrying slots. Payloads
   /// serialize through the SavePayload/LoadPayload overloads of the
-  /// instantiating estimator (apps/payload_substrate.h, apps/triangles.h).
+  /// instantiating estimator (apps/forward_counts.h, apps/triangles.h),
+  /// and Load rejects a payload that PayloadMatchesItem says does not
+  /// belong to its slot's item.
   void Save(BinaryWriter* w) const {
     w->PutU64(count_);
     w->PutU64(cur_count_);
@@ -185,7 +187,10 @@ class PayloadWindowUnit {
     slot->reset();
     if (!present) return true;
     Sampled s;
-    if (!LoadItem(r, &s.item) || !LoadPayload(r, &s.payload)) return false;
+    if (!LoadItem(r, &s.item) || !LoadPayload(r, &s.payload) ||
+        !PayloadMatchesItem(s.payload, s.item)) {
+      return false;
+    }
     *slot = std::move(s);
     return true;
   }

@@ -119,6 +119,13 @@ inline bool LoadPayload(BinaryReader* r, TriangleEstimator::WatchPayload* p) {
   return a <= 0xffffffffu && b <= 0xffffffffu && v <= 0xffffffffu &&
          p->a != p->b && p->v != p->a && p->v != p->b;
 }
+/// Checkpoint consistency: the watched edge is the sampled item's edge.
+inline bool PayloadMatchesItem(const TriangleEstimator::WatchPayload& p,
+                               const Item& item) {
+  uint32_t a = 0, b = 0;
+  DecodeEdge(item.value, &a, &b);
+  return p.a == a && p.b == b;
+}
 
 }  // namespace swsample
 

@@ -46,7 +46,7 @@ void WindowCountEstimator::ObserveBatch(std::span<const Item> items) {
       count_ += items.size();
       break;
     case Mode::kTsHistogram:
-      for (const Item& item : items) histogram_->Add(item.timestamp);
+      histogram_->AddBatch(items);
       break;
     case Mode::kTsExact:
       for (const Item& item : items) timestamps_.push_back(item.timestamp);

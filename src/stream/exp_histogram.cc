@@ -23,42 +23,46 @@ Result<ExpHistogram> ExpHistogram::Create(Timestamp t0, double eps) {
 void ExpHistogram::EvictExpired() {
   // A bucket is dropped once even its NEWEST element expired; the oldest
   // surviving bucket may straddle the window boundary, which is where the
-  // eps error comes from. The sweep reads only the dense timestamp ring.
-  while (!newest_.empty() && now_ - newest_.front() >= t0_) {
-    const uint64_t c = count_.front();
-    total_ -= c;
-    --class_count_[FloorLog2(c)];
-    newest_.pop_front();
-    count_.pop_front();
+  // eps error comes from.
+  while (top_ >= 0 && now_ - classes_[top_].front() >= t0_) {
+    classes_[top_].pop_front();
+    total_ -= uint64_t{1} << top_;
+    --buckets_;
+    while (top_ >= 0 && classes_[top_].empty()) --top_;
   }
 }
 
-void ExpHistogram::MergeCascade() {
-  // DGIM merge rule via the class counters: a freshly appended size-1
-  // bucket can only overflow class 0, and a merge moves one bucket from
-  // class c to class c+1, so overflows cascade upward. The two oldest
-  // buckets of class c sit at ring indices above(c) and above(c) + 1 with
-  // above(c) = sum of the counts of all larger classes; the doubled bucket
-  // stays in place, which is exactly the end of class c+1's block.
-  for (uint32_t c = 0; c < 63 && class_count_[c] > max_per_size_; ++c) {
-    uint64_t above = 0;
-    for (uint32_t d = c + 1; d < 64; ++d) above += class_count_[d];
-    const uint64_t i = above;
-    SWS_DCHECK(count_[i] == uint64_t{1} << c);
-    SWS_DCHECK(count_[i + 1] == uint64_t{1} << c);
-    count_[i] *= 2;
-    newest_[i] = newest_[i + 1];
-    // Close the gap at i + 1 by shifting the (small) suffix of newer
-    // buckets down: at most max_per_size_ per class below the cascade
-    // point, O(1) amortized over adds.
-    for (uint64_t j = i + 1; j + 1 < newest_.size(); ++j) {
-      newest_[j] = newest_[j + 1];
-      count_[j] = count_[j + 1];
+RingDeque<Timestamp>& ExpHistogram::Class(uint32_t c) {
+  if (c >= classes_.size()) classes_.resize(c + 1);
+  return classes_[c];
+}
+
+void ExpHistogram::Merge() {
+  // DGIM merge rule: while class c holds more than max_per_size_ buckets,
+  // its two oldest merge into one bucket of class c+1 that keeps the newer
+  // newest-arrival timestamp and becomes class c+1's newest bucket. Only
+  // class 0 receives fresh buckets and a merge only feeds class c+1, so
+  // one upward sweep that stops at the first class within the cap
+  // restores the cap everywhere (every class is within it beforehand).
+  //
+  // Merging here, after a run of appends, instead of after each append
+  // leaves the same state: class c always merges its oldest pairs in
+  // arrival order, and the number of merges is fixed by the final count
+  // (it must end at max_per_size_ or one below, with the parity of the
+  // bucket count), so class c+1 receives the same buckets in the same
+  // order. The caller must keep expiry from interleaving (see AddBatch).
+  for (uint32_t c = 0; c < 63 && classes_[c].size() > max_per_size_; ++c) {
+    const uint64_t merges = (classes_[c].size() - max_per_size_ + 1) / 2;
+    Class(c + 1);  // may reallocate classes_: take references after it
+    RingDeque<Timestamp>& from = classes_[c];
+    RingDeque<Timestamp>& to = classes_[c + 1];
+    for (uint64_t m = 0; m < merges; ++m) {
+      from.pop_front();
+      to.push_back(from.front());
+      from.pop_front();
     }
-    newest_.pop_back();
-    count_.pop_back();
-    class_count_[c] -= 2;
-    ++class_count_[c + 1];
+    buckets_ -= merges;
+    if (static_cast<int>(c) + 1 > top_) top_ = static_cast<int>(c) + 1;
   }
 }
 
@@ -67,11 +71,40 @@ void ExpHistogram::Add(Timestamp ts) {
   // arriving at the current clock so bucket timestamps stay non-decreasing.
   if (ts < now_) ts = now_;
   AdvanceTime(ts);
-  newest_.push_back(ts);
-  count_.push_back(1);
-  ++class_count_[0];
+  Class(0).push_back(ts);
+  ++buckets_;
   ++total_;
-  MergeCascade();
+  if (top_ < 0) top_ = 0;
+  Merge();
+}
+
+void ExpHistogram::AddBatch(std::span<const Item> items) {
+  // Appends a run of at most this many buckets to class 0 before merging,
+  // which bounds class 0's ring (its arena memory is retained).
+  constexpr uint64_t kRun = 64;
+  size_t i = 0;
+  while (i < items.size()) {
+    // One expiry-free run: the clock moves to the run's first arrival,
+    // then arrivals are appended while their (clamped) timestamps keep the
+    // oldest bucket active. Per-item Add would evict nothing inside the
+    // run either — merges and appends only make the oldest bucket newer —
+    // so deferring the merges to the run's end is state-identical.
+    AdvanceTime(items[i].timestamp);
+    const Timestamp oldest = top_ >= 0 ? classes_[top_].front() : now_;
+    RingDeque<Timestamp>& fresh = Class(0);
+    const size_t end = std::min<size_t>(items.size(), i + kRun);
+    const size_t start = i;
+    do {
+      const Timestamp ts = std::max(now_, items[i].timestamp);
+      if (ts - oldest >= t0_) break;
+      now_ = ts;
+      fresh.push_back(ts);
+    } while (++i < end);
+    buckets_ += i - start;
+    total_ += i - start;
+    if (top_ < 0) top_ = 0;
+    Merge();
+  }
 }
 
 void ExpHistogram::AdvanceTime(Timestamp now) {
@@ -80,12 +113,23 @@ void ExpHistogram::AdvanceTime(Timestamp now) {
   EvictExpired();
 }
 
+uint64_t ExpHistogram::RetainedBytes() const {
+  uint64_t bytes = classes_.capacity() * sizeof(RingDeque<Timestamp>);
+  for (const RingDeque<Timestamp>& ring : classes_) {
+    bytes += ring.ReservedBytes();
+  }
+  return bytes;
+}
+
 void ExpHistogram::Save(BinaryWriter* w) const {
   w->PutI64(now_);
-  w->PutU64(count_.size());
-  for (uint64_t i = 0; i < count_.size(); ++i) {
-    w->PutI64(newest_[i]);
-    w->PutU64(count_[i]);
+  w->PutU64(buckets_);
+  for (int c = top_; c >= 0; --c) {
+    const RingDeque<Timestamp>& ring = classes_[c];
+    for (uint64_t i = 0; i < ring.size(); ++i) {
+      w->PutI64(ring[i]);
+      w->PutU64(uint64_t{1} << c);
+    }
   }
 }
 
@@ -95,10 +139,13 @@ bool ExpHistogram::Load(BinaryReader* r) {
       size > r->remaining() / 16 + 1) {
     return false;
   }
-  newest_.clear();
-  count_.clear();
-  class_count_.fill(0);
+  for (RingDeque<Timestamp>& ring : classes_) ring.clear();
+  top_ = -1;
   total_ = 0;
+  buckets_ = 0;
+  Timestamp prev_newest = 0;
+  uint64_t prev_count = 0;
+  uint64_t run = 0;  // buckets of the current class so far
   for (uint64_t i = 0; i < size; ++i) {
     Timestamp newest = 0;
     uint64_t count = 0;
@@ -108,23 +155,29 @@ bool ExpHistogram::Load(BinaryReader* r) {
     if (!r->GetI64(&newest) || !r->GetU64(&count) || count < 1 ||
         (count & (count - 1)) != 0 || newest < 0 || newest > now_ ||
         now_ - newest >= t0_ ||
-        (!count_.empty() &&
-         (count > count_.back() || newest < newest_.back()))) {
+        (i > 0 && (count > prev_count || newest < prev_newest))) {
       return false;
     }
-    newest_.push_back(newest);
-    count_.push_back(count);
-    ++class_count_[FloorLog2(count)];
+    // A class never holds more than max_per_size_ buckets after Add, and
+    // Merge() relies on it.
+    const uint32_t c = FloorLog2(count);
+    if (count == prev_count && ++run > max_per_size_) return false;
+    if (count != prev_count) run = 1;
+    Class(c).push_back(newest);
+    ++buckets_;
+    if (static_cast<int>(c) > top_) top_ = static_cast<int>(c);
     total_ += count;
+    prev_newest = newest;
+    prev_count = count;
   }
   return true;
 }
 
 uint64_t ExpHistogram::Estimate() {
   EvictExpired();
-  if (count_.empty()) return 0;
+  if (top_ < 0) return 0;
   // Count the straddling oldest bucket at half weight.
-  return total_ - count_.front() / 2;
+  return total_ - (uint64_t{1} << top_) / 2;
 }
 
 }  // namespace swsample

@@ -15,18 +15,20 @@
 // the sum of all non-expired buckets, counting the oldest (straddling)
 // bucket at half weight -- relative error at most eps.
 //
-// Layout: the bucket list is stored as two parallel rings (SoA) -- newest-
-// arrival timestamps and power-of-two counts -- plus a per-size-class
-// bucket counter. The counter turns the DGIM merge rule into O(1)
-// amortized work per Add (the two oldest buckets of an overflowing class
-// sit at a directly computable ring position, no scan), and expiry sweeps
-// touch only the dense timestamp ring.
+// Layout: one ring per size class c holding the newest-arrival timestamps
+// of the count-2^c buckets, oldest first (counts are implicit in the class).
+// The bucket list, oldest first, is the classes from the largest down, so
+// the oldest bucket is the front of the largest non-empty class, and the
+// DGIM merge of the two oldest buckets of class c is two pops from ring c
+// and one push onto ring c+1: O(1) per merge with no shifting, and O(1)
+// amortized per Add. Expiry pops only from the largest class's ring.
 
 #ifndef SWSAMPLE_STREAM_EXP_HISTOGRAM_H_
 #define SWSAMPLE_STREAM_EXP_HISTOGRAM_H_
 
-#include <array>
 #include <cstdint>
+#include <span>
+#include <vector>
 
 #include "stream/item.h"
 #include "util/arena.h"
@@ -45,6 +47,10 @@ class ExpHistogram {
   /// Records one arrival at time `ts` (non-decreasing). O(1) amortized.
   void Add(Timestamp ts);
 
+  /// Records the arrivals of `items` at their timestamps; the resulting
+  /// state (and Save() bytes) is identical to calling Add per item.
+  void AddBatch(std::span<const Item> items);
+
   /// Advances the clock without arrivals.
   void AdvanceTime(Timestamp now);
 
@@ -53,45 +59,43 @@ class ExpHistogram {
   uint64_t Estimate();
 
   /// Number of buckets held (O(eps^-1 log n)).
-  uint64_t BucketCount() const { return count_.size(); }
+  uint64_t BucketCount() const { return buckets_; }
 
   /// Live memory words (one timestamp + one count per bucket).
-  uint64_t MemoryWords() const { return 3 + count_.size() * 2; }
+  uint64_t MemoryWords() const { return 3 + buckets_ * 2; }
 
-  /// Heap bytes retained beyond the object footprint (both SoA rings'
-  /// arena reservations).
-  uint64_t RetainedBytes() const {
-    return newest_.ReservedBytes() + count_.ReservedBytes();
-  }
+  /// Heap bytes retained beyond the object footprint (the class-ring
+  /// vector and each ring's arena reservation).
+  uint64_t RetainedBytes() const;
 
   /// Checkpointing: clock + buckets (t0/eps are configuration and live in
   /// the owning estimator's envelope). The byte format is unchanged from
-  /// the AoS layout: (newest, count) pairs, oldest first. Load validates
-  /// bucket monotonicity and power-of-two counts; see util/serial.h.
+  /// the earlier single-list layouts: (newest, count) pairs, oldest first.
+  /// Load validates bucket monotonicity, power-of-two counts and the
+  /// per-class cap that Add maintains; see util/serial.h.
   void Save(BinaryWriter* w) const;
   bool Load(BinaryReader* r);
 
  private:
   ExpHistogram(Timestamp t0, uint64_t max_per_size)
-      : t0_(t0), max_per_size_(max_per_size) {
-    class_count_.fill(0);
-  }
+      : t0_(t0), max_per_size_(max_per_size) {}
 
   void EvictExpired();
-  void MergeCascade();
+  /// The ring of class c, creating the classes up to c on first use.
+  RingDeque<Timestamp>& Class(uint32_t c);
+  /// Restores the DGIM cap of max_per_size_ buckets per class.
+  void Merge();
 
   Timestamp t0_;
   uint64_t max_per_size_;  // k/2 + 2 with k = ceil(1/eps)
   Timestamp now_ = 0;
-  uint64_t total_ = 0;  // sum of all bucket counts (maintained)
-  // SoA bucket list, front = oldest. Counts are powers of two,
-  // non-increasing from the front; newest-arrival timestamps are
-  // non-decreasing. Buckets of one size class are contiguous.
-  RingDeque<Timestamp> newest_;
-  RingDeque<uint64_t> count_;
-  // class_count_[c] = number of buckets with count 2^c. The oldest bucket
-  // of class c sits at ring index sum(class_count_[d] for d > c).
-  std::array<uint32_t, 64> class_count_;
+  uint64_t total_ = 0;    // sum of all bucket counts (maintained)
+  uint64_t buckets_ = 0;  // number of buckets (maintained)
+  int top_ = -1;          // largest non-empty class; -1 when empty
+  // classes_[c]: newest-arrival timestamps of the count-2^c buckets,
+  // oldest first; non-decreasing along the ring and across classes from
+  // the largest down. Rings stay allocated when they empty.
+  std::vector<RingDeque<Timestamp>> classes_;
 };
 
 }  // namespace swsample

@@ -24,6 +24,7 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/freq_moments.h"
 #include "apps/sink_spec.h"
 #include "apps/triangles.h"
 #include "core/checkpoint.h"
@@ -734,6 +735,46 @@ TEST(DriverCheckpointTest, ResumeDetectsDivergentReplay) {
                    .ok());
 }
 
+TEST(CheckpointFuzzTest, ForgedPayloadValueIsRejected) {
+  // A payload must belong to the candidate item it is saved with: the
+  // timestamp units key forward counts on payload.value, so a blob whose
+  // payload names another value would silently corrupt every later count.
+  // Each envelope ends with its last unit's newest payload, so flipping
+  // a bit in that payload's first field (count value / watched endpoint)
+  // forges exactly that mismatch.
+  struct Case {
+    const char* spec;
+    size_t payload_bytes;  // serialized payload size
+    bool edges;
+  };
+  const Case cases[] = {
+      {"ams-fk@bop-ts-single,t=16,r=3,seed=5", 16, false},
+      {"ccm-entropy@bop-ts-single,t=16,r=3,seed=5", 16, false},
+      {"ams-fk@bop-seq-single,n=16,r=3,seed=5", 16, false},
+      {"buriol-triangles@bop-ts-single,t=16,r=3,seed=5,vertices=32", 26,
+       true},
+      {"buriol-triangles@bop-seq-single,n=16,r=3,seed=5,vertices=32", 26,
+       true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.spec);
+    const SinkSpec spec = ParseSinkSpec(c.spec).ValueOrDie();
+    Sink sink = CreateSink(spec).ValueOrDie();
+    BurstStream stream(23, c.edges);
+    for (Timestamp t = 0; t < 80; ++t) {
+      for (const Item& item : stream.Step(t)) sink.sink->Observe(item);
+      sink.sink->AdvanceTime(t);
+    }
+    const std::string blob = SaveSink(*sink.sink, spec).ValueOrDie();
+    ASSERT_TRUE(RestoreSink(blob).ok());
+    std::string forged = blob;
+    forged[forged.size() - c.payload_bytes] ^= 1;
+    auto restored = RestoreSink(forged);
+    ASSERT_FALSE(restored.ok());
+    EXPECT_EQ(restored.status().code(), StatusCode::kInvalidArgument);
+  }
+}
+
 // ---------------------------------------------------------------------
 // Forged envelopes: every per-field count is within kMaxCheckpointUnits,
 // but their product asks construction for an unbounded allocation.
@@ -923,6 +964,57 @@ TEST(CheckpointPinnedBytesTest, Version1EnvelopesStayReadable) {
         ASSERT_EQ(a.support, b.support);
       }
     }
+  }
+}
+
+TEST(CheckpointPinnedBytesTest, TimestampFkEnvelopeKeepsExactCounts) {
+  // ams-fk over bop-ts-single, saved by an earlier build after items
+  // [0, 120) of the stream below (fed item-wise, AdvanceTime after each).
+  // Seven values so forward counts exceed 1. Restore must reproduce the
+  // bytes, and every unit's count must stay exact as the stream continues
+  // through item-wise and batched ingestion.
+  const auto item_at = [](uint64_t i) {
+    return Item{(i * 7919) % 7, i, static_cast<Timestamp>(i / 3)};
+  };
+  const std::string blob = ReadHexBlob("envelope_v1_ams-fk-ts.hex");
+  ASSERT_FALSE(blob.empty()) << "missing test data";
+  auto restored = RestoreSink(blob);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  const SinkSpec& spec = restored.value().spec;
+  EXPECT_EQ(FormatSinkSpec(spec), "ams-fk@bop-ts-single,t=16,r=3,seed=303");
+  Sink& resumed = restored.value().sink;
+  EXPECT_EQ(SaveSink(*resumed.sink, spec).ValueOrDie(), blob);
+  auto* fk = dynamic_cast<FkEstimator*>(resumed.sink.get());
+  ASSERT_NE(fk, nullptr);
+
+  const auto check_counts = [&](uint64_t end) {
+    const uint64_t live = fk->substrate().ForEachSample(
+        [&](const Item& item, const CountPayload& payload) {
+          ASSERT_EQ(item, item_at(item.index));
+          uint64_t expected = 0;
+          for (uint64_t j = item.index; j < end; ++j) {
+            expected += item_at(j).value == item.value;
+          }
+          EXPECT_EQ(payload.value, item.value);
+          EXPECT_EQ(payload.count, expected) << "end=" << end;
+        });
+    EXPECT_EQ(live, 3u);
+  };
+  check_counts(120);
+  uint64_t i = 120;
+  while (i < 360) {
+    // Alternate item-wise and batched stretches of ragged length.
+    const uint64_t len = 1 + i % 13;
+    std::vector<Item> batch;
+    for (uint64_t j = 0; j < len; ++j) batch.push_back(item_at(i + j));
+    if (i % 2 == 0) {
+      for (const Item& item : batch) resumed.sink->Observe(item);
+    } else {
+      resumed.sink->ObserveBatch(batch);
+    }
+    i += len;
+    resumed.sink->AdvanceTime(batch.back().timestamp);
+    check_counts(i);
   }
 }
 

@@ -2,12 +2,16 @@
 //
 // Tests for the DGIM exponential histogram: the (1 +/- eps) window-count
 // guarantee under constant-rate and bursty arrivals, logarithmic bucket
-// growth, and expiry across silence.
+// growth, expiry across silence, and AddBatch leaving exactly the state
+// (Save() bytes) that per-item Add leaves.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <deque>
+#include <span>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +21,7 @@
 #include "stream/value_gen.h"
 #include "util/bits.h"
 #include "util/rng.h"
+#include "util/serial.h"
 
 namespace swsample {
 namespace {
@@ -132,6 +137,59 @@ TEST(ExpHistogramTest, SteadyStateCyclingHonorsEps) {
     }
   }
   ASSERT_GT(arrivals, t0);
+}
+
+std::string SaveBytes(const ExpHistogram& h) {
+  BinaryWriter w;
+  h.Save(&w);
+  return w.Release();
+}
+
+TEST(ExpHistogramTest, AddBatchBytesMatchPerItemAdd) {
+  // Bursty (runs at one timestamp), expiring (silences past t0, clock-only
+  // AdvanceTime between batches) and regressing (timestamps below the
+  // clock) streams, cut into ragged batches. After every batch the batched
+  // histogram must serialize to the per-item histogram's bytes, and the
+  // bytes must survive a Load/Save round trip.
+  for (uint64_t seed = 0; seed < 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    const double eps = seed % 3 == 0 ? 1.0 : seed % 3 == 1 ? 0.3 : 0.05;
+    const Timestamp t0 = 1 + static_cast<Timestamp>(rng.UniformIndex(80));
+    auto per_item = ExpHistogram::Create(t0, eps).ValueOrDie();
+    auto batched = ExpHistogram::Create(t0, eps).ValueOrDie();
+    auto reloaded = ExpHistogram::Create(t0, eps).ValueOrDie();
+    Timestamp ts = 0;
+    uint64_t index = 0;
+    for (int round = 0; round < 120; ++round) {
+      std::vector<Item> batch(rng.UniformIndex(300));
+      for (Item& item : batch) {
+        const uint64_t roll = rng.UniformIndex(100);
+        if (roll < 2) {
+          ts += 2 * t0;  // silence: everything expires
+        } else if (roll < 40) {
+          ts += 1;
+        }
+        // 40..89: burst at the current timestamp; 90..99: a regression.
+        const Timestamp at =
+            roll >= 90 ? std::max<Timestamp>(0, ts - 3) : ts;
+        item = Item{0, index++, at};
+      }
+      for (const Item& item : batch) per_item.Add(item.timestamp);
+      batched.AddBatch(batch);
+      if (rng.UniformIndex(6) == 0) {
+        const Timestamp now = ts + static_cast<Timestamp>(rng.UniformIndex(t0));
+        per_item.AdvanceTime(now);
+        batched.AdvanceTime(now);
+      }
+      const std::string bytes = SaveBytes(per_item);
+      ASSERT_EQ(SaveBytes(batched), bytes) << "round " << round;
+      BinaryReader r(bytes);
+      ASSERT_TRUE(reloaded.Load(&r));
+      ASSERT_EQ(SaveBytes(reloaded), bytes);
+      ASSERT_EQ(batched.Estimate(), per_item.Estimate());
+    }
+  }
 }
 
 }  // namespace

@@ -6,7 +6,11 @@
 // and re-straddling (item-wise AND batched), and F_k / entropy estimates
 // must track the exact windowed value with the extra (1 +/- eps) count
 // factor — including under bursty arrivals with AdvanceTime-only steps.
+// The batch-vs-item oracle for the value-indexed count path: batched units
+// sample uniformly at every batch size, and every unit's count stays exact
+// under timestamp regressions, quiet gaps and batches straddling expiry.
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <deque>
@@ -16,7 +20,10 @@
 
 #include <gtest/gtest.h>
 
+#include "apps/entropy.h"
+#include "apps/freq_moments.h"
 #include "apps/payload_substrate.h"
+#include "stat_check.h"
 #include "stats/exact.h"
 #include "stream/value_gen.h"
 #include "test_sinks.h"
@@ -118,6 +125,154 @@ TEST(TsForwardCountTest, MemoryStaysLogarithmic) {
   EXPECT_LT(max_words, 1000u);  // O(log n) structures + payload map
 }
 
+// Occurrences of items[s].value at or after position s (items carry
+// index == position).
+uint64_t BruteForwardCount(std::span<const Item> items, uint64_t s) {
+  uint64_t count = 0;
+  for (uint64_t j = s; j < items.size(); ++j) {
+    count += items[j].value == items[s].value;
+  }
+  return count;
+}
+
+// Feeds `items` in chunks of `batch` arrivals; batch 0 is item-wise.
+void Feed(TsForwardCountUnit& unit, std::span<const Item> items,
+          uint64_t batch) {
+  if (batch == 0) {
+    for (const Item& item : items) unit.Observe(item);
+    return;
+  }
+  for (uint64_t pos = 0; pos < items.size(); pos += batch) {
+    unit.ObserveBatch(
+        items.subspan(pos, std::min<uint64_t>(batch, items.size() - pos)));
+  }
+}
+
+TEST(TsForwardCountTest, BatchedSamplesUniformAtEveryBatchSize) {
+  // Two arrivals per time step and t0 = 8: the active window is always
+  // the last 16 arrivals, and by the end the structure straddles expiry.
+  // Every batch size must sample uniformly over it, match item-wise
+  // feeding, and carry the exact forward count.
+  constexpr Timestamp kT0 = 8;
+  constexpr uint64_t kItems = 70;
+  constexpr uint64_t kActive = 16;
+  constexpr int kTrials = 3200;
+  std::vector<Item> items;
+  for (uint64_t i = 0; i < kItems; ++i) {
+    items.push_back(Item{i % 5, i, static_cast<Timestamp>(i / 2)});
+  }
+  std::vector<uint64_t> item_wise;
+  for (uint64_t batch : {0u, 1u, 7u, 1024u}) {
+    std::vector<uint64_t> cells(kActive, 0);
+    for (int trial = 0; trial < kTrials; ++trial) {
+      auto unit = MakeUnit(kT0, Rng::ForkSeed(9100 + batch, trial));
+      Feed(unit, items, batch);
+      auto s = unit.Sample();
+      ASSERT_TRUE(s.has_value());
+      ASSERT_GE(s->item.index, kItems - kActive) << "batch " << batch;
+      ASSERT_EQ(s->payload.count, BruteForwardCount(items, s->item.index));
+      ++cells[s->item.index - (kItems - kActive)];
+    }
+    EXPECT_TRUE(IsUniform(cells, 9100 + batch)) << "batch " << batch;
+    if (batch == 0) {
+      item_wise = cells;
+    } else {
+      EXPECT_TRUE(SameDistribution(item_wise, cells, 9100 + batch))
+          << "batch " << batch;
+    }
+  }
+}
+
+// A bursty stream with timestamp regressions (which sinks clamp to their
+// clock) and AdvanceTime-only gaps. It records every arrival's clamped
+// timestamp, so checks can tell which arrivals are active.
+class ClampedStream {
+ public:
+  /// Values are `domain` distinct 64-bit words spread over all bits (an
+  /// odd-multiplier bijection of [0, domain)), so the count table's
+  /// hashing sees realistic keys, 0 included.
+  ClampedStream(uint64_t seed, Timestamp t0, uint64_t domain)
+      : rng_(seed), t0_(t0), domain_(domain) {}
+
+  /// The next `len` arrivals: 0-2 time units apart, and about one in
+  /// seven reaching up to 4 units into the past.
+  std::vector<Item> Chunk(uint64_t len) {
+    std::vector<Item> chunk;
+    for (uint64_t i = 0; i < len; ++i) {
+      raw_ += static_cast<Timestamp>(rng_.UniformIndex(3));
+      Timestamp ts = raw_;
+      if (rng_.UniformIndex(7) == 0) {
+        ts = std::max<Timestamp>(
+            0, ts - static_cast<Timestamp>(rng_.UniformIndex(5)));
+      }
+      const uint64_t value =
+          rng_.UniformIndex(domain_) * 0xD6E8FEB86659FD93ull;
+      const Item item{value, items_.size(), ts};
+      clock_ = std::max(clock_, ts);
+      items_.push_back(item);
+      clamped_.push_back(clock_);
+      chunk.push_back(item);
+    }
+    return chunk;
+  }
+
+  /// A quiet gap of up to two windows; returns the clock to advance to.
+  Timestamp Gap() {
+    clock_ += static_cast<Timestamp>(rng_.UniformIndex(2 * t0_));
+    raw_ = clock_;
+    return clock_;
+  }
+
+  /// Checks a sampled (item, count) against the arrivals so far: the
+  /// payload belongs to the item, the count is the brute-force forward
+  /// count, and the item is active under the clamped clock.
+  void Check(const Item& item, const CountPayload& payload) const {
+    ASSERT_LT(item.index, items_.size());
+    EXPECT_EQ(payload.value, item.value);
+    EXPECT_EQ(payload.count, BruteForwardCount(items_, item.index))
+        << "index " << item.index << " of " << items_.size();
+    EXPECT_LT(clock_ - clamped_[item.index], t0_) << "expired sample";
+  }
+
+  bool empty() const { return items_.empty(); }
+  Rng& rng() { return rng_; }
+
+ private:
+  Rng rng_;
+  Timestamp t0_;
+  uint64_t domain_;
+  Timestamp raw_ = 0;
+  Timestamp clock_ = 0;
+  std::vector<Item> items_;
+  std::vector<Timestamp> clamped_;
+};
+
+TEST(TsForwardCountTest, CountsExactUnderClampGapsAndExpiry) {
+  // Ragged chunks straddle expiry boundaries (t0 = 10 against 0-2 units
+  // per arrival), regressions take the clamp path, and gaps expire some or
+  // all of the window between chunks. Batch 0 is item-wise Observe.
+  constexpr Timestamp kT0 = 10;
+  for (uint64_t batch : {0u, 1u, 3u, 7u, 64u, 1024u}) {
+    for (int trial = 0; trial < 60; ++trial) {
+      ClampedStream stream(Rng::ForkSeed(7300 + batch, trial), kT0,
+                           /*domain=*/4);
+      auto unit = MakeUnit(kT0, Rng::ForkSeed(7400 + batch, trial));
+      for (int step = 0; step < 25; ++step) {
+        const uint64_t cap = batch == 0 ? 9 : 2 * batch + 2;
+        const std::vector<Item> chunk =
+            stream.Chunk(stream.rng().UniformIndex(cap));
+        Feed(unit, chunk, batch);
+        if (stream.rng().UniformIndex(4) == 0) {
+          unit.AdvanceTime(stream.Gap());
+        }
+        if (auto s = unit.Sample()) {
+          stream.Check(s->item, s->payload);
+        }
+      }
+    }
+  }
+}
+
 SinkSpec TsConfig(const char* name, Timestamp t0, uint64_t r,
                   double count_eps, uint64_t seed) {
   SinkSpec config;
@@ -128,6 +283,42 @@ SinkSpec TsConfig(const char* name, Timestamp t0, uint64_t r,
   config.count_eps = count_eps;
   config.seed = seed;
   return config;
+}
+
+TEST(TsFkEstimatorTest, EveryUnitCountExactWithManyUnits) {
+  // r > 1 through the sink table: every unit's count comes out of the one
+  // backward pass the substrate shares across its units, so check all of
+  // them, after every chunk, for both count-payload estimators.
+  constexpr Timestamp kT0 = 12;
+  constexpr uint64_t kUnits = 24;
+  for (const char* name : {"ams-fk", "ccm-entropy"}) {
+    SCOPED_TRACE(name);
+    auto est =
+        MakeEstimator(TsConfig(name, kT0, kUnits, 0.1, 31)).ValueOrDie();
+    auto* fk = dynamic_cast<FkEstimator*>(est.get());
+    auto* entropy = dynamic_cast<EntropyEstimator*>(est.get());
+    ASSERT_TRUE(fk != nullptr || entropy != nullptr);
+    // A wider domain: r x O(log n) candidates fill the count table with
+    // dozens of distinct values, so probes collide.
+    ClampedStream stream(41, kT0, /*domain=*/48);
+    for (int step = 0; step < 300; ++step) {
+      const uint64_t len = stream.rng().UniformIndex(40);
+      const std::vector<Item> chunk = stream.Chunk(len);
+      if (len % 3 == 0) {
+        for (const Item& item : chunk) est->Observe(item);
+      } else {
+        est->ObserveBatch(chunk);
+      }
+      if (stream.rng().UniformIndex(5) == 0) est->AdvanceTime(stream.Gap());
+      const auto check = [&](const Item& item, const CountPayload& payload) {
+        stream.Check(item, payload);
+      };
+      const uint64_t live = fk != nullptr
+                                ? fk->substrate().ForEachSample(check)
+                                : entropy->substrate().ForEachSample(check);
+      EXPECT_TRUE(live == 0 || live == kUnits) << "live units " << live;
+    }
+  }
 }
 
 TEST(TsFkEstimatorTest, CreateValidation) {
