@@ -75,8 +75,10 @@
 //   --moment=<k>         frequency moment for --estimator=ams-fk (default 2)
 //   --vertices=<v>       vertex universe for --estimator=buriol-triangles
 //   --q=<q>              quantile for --estimator=dkw-quantile (default 0.5)
-//   --report=<n>         progress report every n events to stderr (default
-//                        10000; 0 = none, stdin mode only)
+//   --report=<n>         progress line (events, memory) to stderr at the
+//                        first batch boundary past every n events
+//                        (default 10000; 0 = none); it never changes the
+//                        sample or estimate a run ends with
 //   <window>             n (items) for sequence samplers/substrates, t0
 //                        (time units) for timestamp ones
 //   <k>                  samples to maintain / estimator units r
@@ -108,6 +110,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -120,6 +123,7 @@
 #include "stream/sharded_driver.h"
 #include "stream/workload.h"
 #include "util/failpoint.h"
+#include "util/file_ops.h"
 
 using namespace swsample;
 
@@ -170,24 +174,28 @@ void ListEstimators() {
   }
 }
 
-void ReportSample(WindowSampler& sampler, uint64_t events, FILE* out) {
+void ReportSample(WindowSampler& sampler, uint64_t events) {
   auto sample = sampler.Sample();
-  std::fprintf(out, "events=%" PRIu64 " memory=%" PRIu64 " words sample=[",
-               events, sampler.MemoryWords());
+  std::printf("events=%" PRIu64 " memory=%" PRIu64 " words sample=[", events,
+              sampler.MemoryWords());
   for (size_t i = 0; i < sample.size(); ++i) {
-    std::fprintf(out, "%s%" PRIu64, i ? " " : "", sample[i].value);
+    std::printf("%s%" PRIu64, i ? " " : "", sample[i].value);
   }
-  std::fprintf(out, "]\n");
+  std::printf("]\n");
 }
 
-void ReportEstimate(WindowEstimator& estimator, uint64_t events, FILE* out) {
+void ReportEstimate(WindowEstimator& estimator, uint64_t events) {
   EstimateReport report = estimator.Estimate();
-  std::fprintf(out,
-               "events=%" PRIu64 " memory=%" PRIu64
-               " words %s=%.6g window=%.6g support=%" PRIu64 "\n",
-               events, estimator.MemoryWords(), report.metric.c_str(),
-               report.value, report.window_size, report.support);
+  std::printf("events=%" PRIu64 " memory=%" PRIu64
+              " words %s=%.6g window=%.6g support=%" PRIu64 "\n",
+              events, estimator.MemoryWords(), report.metric.c_str(),
+              report.value, report.window_size, report.support);
 }
+
+/// Closes the --file input when main returns.
+struct FileCloser {
+  void operator()(std::FILE* f) const { std::fclose(f); }
+};
 
 /// Checkpoint/resume flags shared by the single and sharded paths.
 struct CheckpointRun {
@@ -215,9 +223,11 @@ void InstallKillHook(CheckpointWriter& writer, uint64_t kill_after) {
 struct ShardedRun {
   SinkSpec spec;
   SinkKind kind = SinkKind::kSampler;
-  std::string file;
+  // The event input main opened: stdin or --file.
+  std::FILE* input = stdin;
+  std::string source = "stdin";
   // --workload/--replay-trace: a pre-materialized stream to drive instead
-  // of parsing stdin/--file (checkpointing is refused in main for these).
+  // of parsing the input (checkpointing is refused in main for these).
   const std::vector<Item>* items = nullptr;
   uint64_t threads = 1;
   uint64_t shards = 1;
@@ -238,7 +248,7 @@ int RunSharded(const ShardedRun& run, bool timestamped) {
   ResumedCheckpoint resumed;  // --resume: restored state + skip position
   const bool want_estimators = run.kind == SinkKind::kEstimator;
   if (run.checkpoint.resume) {
-    auto loaded = ShardedStreamDriver::ResumeFrom(run.checkpoint.dir);
+    auto loaded = LoadCheckpoint(run.checkpoint.dir);
     if (!loaded.ok()) {
       std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
       return 1;
@@ -332,7 +342,7 @@ int RunSharded(const ShardedRun& run, bool timestamped) {
   }
   ShardedStreamDriver driver(options);
 
-  Result<ShardedDriveReport> result = Status::InvalidArgument("unset");
+  std::optional<CheckpointWriter> writer;
   if (!run.checkpoint.dir.empty()) {
     CheckpointPolicy policy;
     policy.dir = run.checkpoint.dir;
@@ -351,23 +361,16 @@ int RunSharded(const ShardedRun& run, bool timestamped) {
       }
       serializers = std::move(made).ValueOrDie();
     }
-    CheckpointWriter writer(policy, std::move(serializers),
-                            resumed.position.items);
-    InstallKillHook(writer, run.checkpoint.kill_after);
-    const CheckpointManifest* resume_pos =
-        run.checkpoint.resume ? &resumed.position : nullptr;
-    result = run.file.empty()
-                 ? driver.DriveLinesCheckpointed(stdin, "stdin", timestamped,
-                                                sinks, &writer, resume_pos)
-                 : driver.DriveFileCheckpointed(run.file, timestamped, sinks,
-                                                &writer, resume_pos);
-  } else if (run.items != nullptr) {
-    result = driver.Drive(*run.items, sinks);
-  } else {
-    result = run.file.empty()
-                 ? driver.DriveLines(stdin, "stdin", timestamped, sinks)
-                 : driver.DriveFile(run.file, timestamped, sinks);
+    writer.emplace(policy, std::move(serializers), resumed.position.items);
+    InstallKillHook(*writer, run.checkpoint.kill_after);
   }
+  const CheckpointManifest* resume_pos =
+      run.checkpoint.resume ? &resumed.position : nullptr;
+  Result<ShardedDriveReport> result =
+      run.items != nullptr
+          ? driver.Drive(*run.items, sinks)
+          : driver.DriveLines(run.input, run.source, timestamped, sinks,
+                              writer ? &*writer : nullptr, resume_pos);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
@@ -488,9 +491,7 @@ int RunKeyed(const SinkSpec& spec, const KeyedRun& keyed,
     auto result =
         run.items != nullptr
             ? driver.Drive(*run.items, sinks)
-            : run.file.empty()
-                  ? driver.DriveLines(stdin, "stdin", timestamped, sinks)
-                  : driver.DriveFile(run.file, timestamped, sinks);
+            : driver.DriveLines(run.input, run.source, timestamped, sinks);
     if (!result.ok()) {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
       return 1;
@@ -524,10 +525,8 @@ int RunKeyed(const SinkSpec& spec, const KeyedRun& keyed,
     Result<DriveReport> result =
         run.items != nullptr
             ? Result<DriveReport>(driver.Drive(*run.items, engine))
-            : run.file.empty()
-                  ? driver.DriveLines(stdin, "stdin", timestamped, engine,
-                                      progress, report_every)
-                  : driver.DriveFile(run.file, timestamped, engine);
+            : driver.DriveLines(run.input, run.source, timestamped, engine,
+                                nullptr, nullptr, progress, report_every);
     if (!result.ok()) {
       std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
       return 1;
@@ -966,6 +965,20 @@ int main(int argc, char** argv) {
   }
   const bool timestamped = model.value() == WindowModel::kTimestamp;
 
+  // The one event input of every run mode: stdin, or --file opened here.
+  std::unique_ptr<std::FILE, FileCloser> opened;
+  std::FILE* input = stdin;
+  const std::string source = file.empty() ? "stdin" : file;
+  if (!file.empty()) {
+    auto f = OpenStdioFile("ingest.open", file);
+    if (!f.ok()) {
+      std::fprintf(stderr, "%s\n", f.status().ToString().c_str());
+      return 1;
+    }
+    opened.reset(f.value());
+    input = opened.get();
+  }
+
   if (keyed.enabled) {
     // The keyed engine's persistence story is its own spill directory;
     // the flat single-sink checkpoint envelope does not describe it.
@@ -985,7 +998,8 @@ int main(int argc, char** argv) {
     ShardedRun run;
     run.spec = spec;
     run.kind = kind.value();
-    run.file = file;
+    run.input = input;
+    run.source = source;
     run.items = driven_items;
     run.threads = threads;
     run.shards = shards == 0 ? threads : shards;
@@ -1006,7 +1020,8 @@ int main(int argc, char** argv) {
     ShardedRun run;
     run.spec = spec;
     run.kind = kind.value();
-    run.file = file;
+    run.input = input;
+    run.source = source;
     run.items = driven_items;
     run.threads = threads;
     run.shards = shards == 0 ? threads : shards;
@@ -1024,7 +1039,7 @@ int main(int argc, char** argv) {
   Sink created_sink;
   ResumedCheckpoint resumed;  // --resume: restored state + skip position
   if (checkpoint.resume) {
-    auto loaded = StreamDriver::ResumeFrom(checkpoint.dir);
+    auto loaded = LoadCheckpoint(checkpoint.dir);
     if (!loaded.ok()) {
       std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
       return 1;
@@ -1064,13 +1079,12 @@ int main(int argc, char** argv) {
     created_sink = std::move(made).ValueOrDie();
   }
   // Resolved through the sink factory or restored from a checkpoint; the
-  // batched driver owns parsing and ingestion for both kinds, and stdin
-  // mode adds periodic progress reports.
+  // batched driver owns parsing and ingestion for both kinds.
   WindowSampler* sampler = created_sink.sampler;
   WindowEstimator* estimator = created_sink.estimator;
   StreamSink* sink = created_sink.sink.get();
 
-  Result<DriveReport> result = Status::InvalidArgument("unset");
+  std::optional<CheckpointWriter> writer;
   if (!checkpoint.dir.empty()) {
     CheckpointPolicy policy;
     policy.dir = checkpoint.dir;
@@ -1088,35 +1102,24 @@ int main(int argc, char** argv) {
       }
       serializers = std::move(made).ValueOrDie();
     }
-    CheckpointWriter writer(policy, std::move(serializers),
-                            resumed.position.items);
-    InstallKillHook(writer, checkpoint.kill_after);
-    const CheckpointManifest* resume_pos =
-        checkpoint.resume ? &resumed.position : nullptr;
-    // Progress reporting is disabled here: its mid-interval flushes would
-    // shift batch boundaries away from the checkpoint-aligned grid.
-    if (file.empty()) {
-      result = driver.DriveLinesCheckpointed(stdin, "stdin", timestamped,
-                                             *sink, &writer, resume_pos);
-    } else {
-      result = driver.DriveFileCheckpointed(file, timestamped, *sink, &writer,
-                                            resume_pos);
-    }
-  } else if (driven_items != nullptr) {
-    result = driver.Drive(*driven_items, *sink);
-  } else {
-    auto progress = [&](uint64_t items) {
-      if (estimator != nullptr) {
-        ReportEstimate(*estimator, items, stderr);
-      } else {
-        ReportSample(*sampler, items, stderr);
-      }
-    };
-    result = file.empty()
-                 ? driver.DriveLines(stdin, "stdin", timestamped, *sink,
-                                     progress, report_every)
-                 : driver.DriveFile(file, timestamped, *sink);
+    writer.emplace(policy, std::move(serializers), resumed.position.items);
+    InstallKillHook(*writer, checkpoint.kill_after);
   }
+  const CheckpointManifest* resume_pos =
+      checkpoint.resume ? &resumed.position : nullptr;
+  // Progress prints only the position and memory: drawing a sample or an
+  // estimate may consume the sink's randomness and change the final
+  // result.
+  auto progress = [sink](uint64_t items) {
+    std::fprintf(stderr, "events=%" PRIu64 " memory=%" PRIu64 " words\n",
+                 items, sink->MemoryWords());
+  };
+  Result<DriveReport> result =
+      driven_items != nullptr
+          ? Result<DriveReport>(driver.Drive(*driven_items, *sink))
+          : driver.DriveLines(input, source, timestamped, *sink,
+                              writer ? &*writer : nullptr, resume_pos,
+                              progress, report_every);
   if (!result.ok()) {
     std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
     return 1;
@@ -1134,9 +1137,9 @@ int main(int argc, char** argv) {
                  r.io_retries, r.io_giveups);
   }
   if (estimator != nullptr) {
-    ReportEstimate(*estimator, total_events, stdout);
+    ReportEstimate(*estimator, total_events);
   } else {
-    ReportSample(*sampler, total_events, stdout);
+    ReportSample(*sampler, total_events);
   }
   return 0;
 }

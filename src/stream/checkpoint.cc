@@ -8,9 +8,7 @@
 #include <utility>
 
 #include "core/checkpoint.h"
-#include "stream/driver.h"
 #include "stream/item_serial.h"
-#include "stream/sharded_driver.h"
 #include "util/file_ops.h"
 
 namespace swsample {
@@ -260,52 +258,6 @@ Status CheckpointWriter::Write(const CheckpointManifest& manifest,
   last_write_time_ = std::chrono::steady_clock::now();
   if (after_write_) after_write_(manifest.items);
   return Status::Ok();
-}
-
-Result<uint64_t> PumpEventLines(
-    std::FILE* f, const std::string& source_name, bool timestamped,
-    const CheckpointManifest* resume,
-    const std::function<Status(const Item& item)>& deliver) {
-  const uint64_t skip = resume == nullptr ? 0 : resume->items;
-  char line[256];
-  uint64_t index = 0;
-  Timestamp last_ts = 0;
-  uint64_t line_no = 0;
-  while (std::fgets(line, sizeof(line), f)) {
-    ++line_no;
-    uint64_t value = 0;
-    Timestamp ts = 0;
-    bool skip_line = false;
-    if (Status s = ParseEventLine(line, sizeof(line), timestamped,
-                                  source_name, line_no, last_ts, &value, &ts,
-                                  &skip_line);
-        !s.ok()) {
-      return s;
-    }
-    if (skip_line) continue;
-    if (timestamped) last_ts = ts;
-    if (index < skip) {
-      // Already ingested before the checkpoint: re-parse (validating the
-      // replayed input) but do not deliver. The clock handoff catches a
-      // resume against a different stream.
-      ++index;
-      if (index == skip && timestamped && last_ts != resume->last_ts) {
-        return Status::InvalidArgument(
-            source_name + ":" + std::to_string(line_no) +
-            ": replayed input does not match the checkpoint (timestamp "
-            "diverges at the resume point)");
-      }
-      continue;
-    }
-    if (!timestamped) ts = static_cast<Timestamp>(index);
-    if (Status s = deliver(Item{value, index++, ts}); !s.ok()) return s;
-  }
-  if (index < skip) {
-    return Status::InvalidArgument(
-        source_name + ": replayed input ends before the checkpoint's " +
-        std::to_string(skip) + " ingested events");
-  }
-  return index;
 }
 
 Result<ResumedCheckpoint> LoadCheckpoint(const std::string& dir) {

@@ -33,7 +33,6 @@
 #define SWSAMPLE_STREAM_CHECKPOINT_H_
 
 #include <chrono>
-#include <cstdio>
 #include <functional>
 #include <memory>
 #include <span>
@@ -199,19 +198,6 @@ Result<ResumedCheckpoint> LoadCheckpoint(const std::string& dir);
 /// checkpoints describe the restored sinks — immune to drift in the
 /// resuming process's own flags.
 std::vector<SinkSerializer> SerializersFor(const ResumedCheckpoint& resumed);
-
-/// Shared line-iteration core of both drivers' checkpointed drives:
-/// reads `f` with StreamDriver's event-line grammar, skips the first
-/// `resume->items` events of the replayed input (still parsing them, and
-/// failing if the clock diverges from the checkpoint's at the handoff or
-/// the input ends early), resolves sequence-mode timestamps to the
-/// arrival index, and calls `deliver(item)` for every event past the
-/// skip point (item.index continues the checkpoint's numbering). A
-/// non-OK `deliver` aborts the pump. Returns the total event count.
-Result<uint64_t> PumpEventLines(
-    std::FILE* f, const std::string& source_name, bool timestamped,
-    const CheckpointManifest* resume,
-    const std::function<Status(const Item& item)>& deliver);
 
 }  // namespace swsample
 

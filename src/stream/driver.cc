@@ -3,31 +3,22 @@
 #include "stream/driver.h"
 
 #include <algorithm>
-#include <cctype>
+#include <cerrno>
 #include <chrono>
-#include <cinttypes>
 #include <cstring>
-
-#if defined(__unix__) || defined(__APPLE__)
-#define SWSAMPLE_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
+#include <utility>
 
 #include "util/bits.h"
 #include "util/file_ops.h"
-#include "util/macros.h"
 
 namespace swsample {
 
 namespace {
 using Clock = std::chrono::steady_clock;
 
-/// Line buffer size shared by the stdio paths; the mmap path enforces the
-/// same limit so both report identical errors on over-long lines.
-constexpr size_t kEventLineCap = 256;
+/// Cap on the items one EventReader::Read parses for StreamDriver; larger
+/// batches are assembled in the pump's buffer.
+constexpr uint64_t kMaxReadItems = 16384;
 
 // Shared epilogue of every Drive* method: stamps timing, throughput and
 // final/peak memory into the report.
@@ -51,8 +42,8 @@ inline bool IsSpaceByte(char c) {
 
 /// Tight decimal parse over raw bytes: optional whitespace, optional
 /// sign, at least one digit; advances `p` past the digits. No locale, no
-/// errno, no copies — this is the per-line hot loop of DriveBuffer.
-/// Matches the strtoull family the stdio path historically used: digit
+/// errno, no copies — this is the per-line hot loop of EventReader.
+/// Matches the strtoull family the grammar historically used: digit
 /// overflow saturates the magnitude at UINT64_MAX (the sign is reported
 /// separately so callers can reproduce strtoull's modular '-' handling
 /// or strtoll's signed saturation).
@@ -105,6 +96,29 @@ inline Timestamp SaturateTimestamp(uint64_t magnitude, bool negative) {
              ? INT64_MAX
              : static_cast<Timestamp>(magnitude);
 }
+
+/// Builds the InvalidArgument status for a failed line (cold path).
+Status LineParseError(LineParse failure, const std::string& source_name,
+                      uint64_t line_no, bool timestamped) {
+  const std::string where = source_name + ":" + std::to_string(line_no);
+  switch (failure) {
+    case LineParse::kNonMonotone:
+      return Status::InvalidArgument(where +
+                                     ": timestamps must be non-decreasing");
+    case LineParse::kMalformed:
+    default:
+      return Status::InvalidArgument(
+          where + ": malformed event line (expected " +
+          (timestamped ? "\"<timestamp> <value>\")" : "\"<value>\")"));
+  }
+}
+
+Status LineTooLong(const std::string& source_name, uint64_t line_no) {
+  return Status::InvalidArgument(
+      source_name + ":" + std::to_string(line_no) +
+      ": event line too long (limit " +
+      std::to_string(EventReader::kMaxLineChars) + " characters)");
+}
 }  // namespace
 
 LineParse ParseEventSpan(const char* begin, const char* end, bool timestamped,
@@ -134,44 +148,140 @@ LineParse ParseEventSpan(const char* begin, const char* end, bool timestamped,
   return LineParse::kOk;
 }
 
-Status LineParseError(LineParse failure, const std::string& source_name,
-                      uint64_t line_no, bool timestamped) {
-  const std::string where = source_name + ":" + std::to_string(line_no);
-  switch (failure) {
-    case LineParse::kNonMonotone:
-      return Status::InvalidArgument(where +
-                                     ": timestamps must be non-decreasing");
-    case LineParse::kMalformed:
-    default:
-      return Status::InvalidArgument(
-          where + ": malformed event line (expected " +
-          (timestamped ? "\"<timestamp> <value>\")" : "\"<value>\")"));
+EventReader::EventReader(std::FILE* f, std::string source_name,
+                         bool timestamped, const CheckpointManifest* resume)
+    : file_(f),
+      block_(kBlockBytes),
+      source_name_(std::move(source_name)),
+      timestamped_(timestamped) {
+  p_ = end_ = block_.data();
+  if (resume != nullptr) {
+    skip_ = resume->items;
+    resume_ts_ = resume->last_ts;
   }
 }
 
-Status ParseEventLine(const char* line, size_t line_cap, bool timestamped,
-                      const std::string& source_name, uint64_t line_no,
-                      Timestamp last_ts, uint64_t* value, Timestamp* ts,
-                      bool* skip) {
-  *skip = false;
-  const size_t len = std::strlen(line);
-  if (len + 1 == line_cap && line[len - 1] != '\n') {
-    return Status::InvalidArgument(
-        source_name + ":" + std::to_string(line_no) +
-        ": event line too long (limit " + std::to_string(line_cap - 2) +
-        " characters)");
+EventReader::EventReader(std::string_view data, std::string source_name,
+                         bool timestamped, const CheckpointManifest* resume)
+    : p_(data.data()),
+      end_(data.data() + data.size()),
+      eof_(true),
+      source_name_(std::move(source_name)),
+      timestamped_(timestamped) {
+  if (resume != nullptr) {
+    skip_ = resume->items;
+    resume_ts_ = resume->last_ts;
   }
-  const LineParse parsed =
-      ParseEventSpan(line, line + len, timestamped, last_ts, value, ts);
-  switch (parsed) {
-    case LineParse::kOk:
-      return Status::Ok();
-    case LineParse::kBlank:
-      *skip = true;
-      return Status::Ok();
-    default:
-      return LineParseError(parsed, source_name, line_no, timestamped);
+}
+
+size_t EventReader::Read(std::span<Item> out) {
+  if (!status_.ok()) return 0;
+  // The integer state lives in locals while scanning: stores into `out`
+  // could otherwise alias the members and force a reload per line.
+  StreamIndex index = index_;
+  Timestamp last_ts = last_ts_;
+  uint64_t line_no = line_no_;
+  size_t n = 0;
+  while (n < out.size()) {
+    if (p_ == end_) {
+      if (!eof_) {
+        if (!Refill()) break;
+        continue;
+      }
+      if (index < skip_) {
+        status_ = Status::InvalidArgument(
+            source_name_ + ": replayed input ends before the checkpoint's " +
+            std::to_string(skip_) + " ingested events");
+      }
+      break;
+    }
+    // One word-wise scan finds whichever of '\n' or '\0' comes first. A
+    // NUL ends the parsed span, but the line itself (for advancing and for
+    // the length limit) still runs to the newline.
+    const char* const hit = FindNewlineOrNul(p_, end_);
+    const char* nl = hit;
+    if (hit != end_ && *hit == '\0') {
+      nl = static_cast<const char*>(std::memchr(hit, '\n', end_ - hit));
+      if (nl == nullptr) nl = end_;
+    }
+    if (nl == end_ && !eof_) {
+      // The line continues past the block: carry it over and rescan. A
+      // carry already over the cap is an over-long line, so the block
+      // never has to grow.
+      if (static_cast<size_t>(end_ - p_) > kMaxLineChars) {
+        status_ = LineTooLong(source_name_, line_no + 1);
+        break;
+      }
+      if (!Refill()) break;
+      continue;
+    }
+    ++line_no;
+    if (static_cast<size_t>(nl - p_) > kMaxLineChars) {
+      status_ = LineTooLong(source_name_, line_no);
+      break;
+    }
+    const char* const line = p_;
+    p_ = nl == end_ ? end_ : nl + 1;
+    uint64_t value = 0;
+    Timestamp ts = 0;
+    const LineParse parsed =
+        ParseEventSpan(line, hit, timestamped_, last_ts, &value, &ts);
+    if (parsed == LineParse::kBlank) continue;
+    if (parsed != LineParse::kOk) {
+      status_ = LineParseError(parsed, source_name_, line_no, timestamped_);
+      break;
+    }
+    if (timestamped_) {
+      last_ts = ts;
+    } else {
+      ts = static_cast<Timestamp>(index);
+    }
+    if (index < skip_) {
+      // Already ingested before the checkpoint: parsed (validating the
+      // replayed input) but not yielded. The clock handoff catches a
+      // resume against a different stream.
+      ++index;
+      if (index == skip_ && timestamped_ && last_ts != resume_ts_) {
+        status_ = Status::InvalidArgument(
+            source_name_ + ":" + std::to_string(line_no) +
+            ": replayed input does not match the checkpoint (timestamp "
+            "diverges at the resume point)");
+        break;
+      }
+      continue;
+    }
+    out[n++] = Item{value, index++, ts};
   }
+  index_ = index;
+  last_ts_ = last_ts;
+  line_no_ = line_no;
+  return n;
+}
+
+bool EventReader::Refill() {
+  const size_t carry = static_cast<size_t>(end_ - p_);
+  std::memmove(block_.data(), p_, carry);
+  char* const dst = block_.data() + carry;
+  const size_t want = block_.size() - carry;
+  size_t got = 0;
+  for (;;) {
+    got += std::fread(dst + got, 1, want - got, file_);
+    if (got == want) break;
+    if (!std::ferror(file_)) {
+      eof_ = true;
+      break;
+    }
+    const int err = errno;
+    if (err != EINTR) {
+      status_ = Status::InvalidArgument(source_name_ + ": read error: " +
+                                        std::strerror(err));
+      return false;
+    }
+    std::clearerr(file_);
+  }
+  p_ = block_.data();
+  end_ = dst + got;
+  return true;
 }
 
 StreamDriver::StreamDriver(const Options& options) : options_(options) {}
@@ -256,9 +366,9 @@ class StreamDriver::Pump {
   }
 
   /// Items accumulated but not yet delivered. Zero exactly at batch
-  /// boundaries — the only points where a checkpoint may be taken
-  /// without disturbing the batch segmentation an uninterrupted run
-  /// would produce.
+  /// boundaries — the only points where a checkpoint or a progress call
+  /// may happen without disturbing the batch segmentation a plain
+  /// uninterrupted run would produce.
   size_t buffered() const { return buffer_.size(); }
 
  private:
@@ -323,153 +433,30 @@ DriveReport StreamDriver::DriveSynthetic(SyntheticStream& stream,
   return report;
 }
 
-Result<DriveReport> StreamDriver::DriveLines(std::FILE* f,
-                                             const std::string& source_name,
-                                             bool timestamped,
-                                             StreamSink& sink,
-                                             const ProgressFn& progress,
-                                             uint64_t progress_every) const {
-  DriveReport report;
-  const auto begin = Clock::now();
-  Pump pump(options_, sink, &report);
-  char line[256];
-  StreamIndex index = 0;
-  Timestamp last_ts = 0;
-  uint64_t line_no = 0;
-  while (std::fgets(line, sizeof(line), f)) {
-    ++line_no;
-    uint64_t value = 0;
-    Timestamp ts = 0;
-    bool skip = false;
-    if (Status s = ParseEventLine(line, sizeof(line), timestamped,
-                                  source_name, line_no, last_ts, &value, &ts,
-                                  &skip);
-        !s.ok()) {
-      return s;
-    }
-    if (skip) continue;
-    if (timestamped) {
-      last_ts = ts;
-    } else {
-      ts = static_cast<Timestamp>(index);
-    }
-    pump.Push(Item{value, index++, ts});
-    if (progress && progress_every && index % progress_every == 0) {
-      pump.Flush();
-      progress(index);
-    }
-  }
-  pump.Flush();
-  pump.FinishLatencies();
-  Finalize(begin, sink, &report);
-  return report;
+Result<DriveReport> StreamDriver::DriveLines(
+    std::FILE* f, const std::string& source_name, bool timestamped,
+    StreamSink& sink, CheckpointWriter* writer,
+    const CheckpointManifest* resume, const ProgressFn& progress,
+    uint64_t progress_every) const {
+  EventReader reader(f, source_name, timestamped, resume);
+  return Ingest(reader, sink, writer, resume, progress, progress_every);
 }
 
 Result<DriveReport> StreamDriver::DriveBuffer(std::string_view data,
                                               const std::string& source_name,
                                               bool timestamped,
                                               StreamSink& sink) const {
-  DriveReport report;
-  const auto begin = Clock::now();
-  Pump pump(options_, sink, &report);
-  const char* p = data.data();
-  const char* const end = p + data.size();
-  StreamIndex index = 0;
-  Timestamp last_ts = 0;
-  uint64_t line_no = 0;
-  while (p != end) {
-    // One word-wise scan finds whichever of '\n' (line break) or '\0'
-    // (strlen-style truncation, matching the stdio path's NUL-terminated
-    // buffer semantics) comes first, instead of two memchr passes.
-    const char* hit = FindNewlineOrNul(p, end);
-    const char* nl;
-    const char* line_end;
-    if (hit == end || *hit == '\n') {
-      nl = hit == end ? nullptr : hit;
-      line_end = hit;
-    } else {
-      // Rare path: a stray NUL truncates the parsed span, but the line
-      // itself still runs to the newline — both for advancing to the next
-      // line and for the over-long check below, which measures the full
-      // (pre-truncation) length exactly like the two-pass code did.
-      nl = static_cast<const char*>(std::memchr(hit, '\n', end - hit));
-      line_end = hit;
-    }
-    const char* const full_line_end = nl != nullptr ? nl : end;
-    ++line_no;
-    // Same limit the stdio path's fixed buffer imposes, same message.
-    if (static_cast<size_t>(full_line_end - p) + 1 >= kEventLineCap) {
-      return Status::InvalidArgument(
-          source_name + ":" + std::to_string(line_no) +
-          ": event line too long (limit " +
-          std::to_string(kEventLineCap - 2) + " characters)");
-    }
-    uint64_t value = 0;
-    Timestamp ts = 0;
-    const LineParse parsed =
-        ParseEventSpan(p, line_end, timestamped, last_ts, &value, &ts);
-    if (parsed == LineParse::kOk) {
-      if (timestamped) {
-        last_ts = ts;
-      } else {
-        ts = static_cast<Timestamp>(index);
-      }
-      pump.Push(Item{value, index++, ts});
-    } else if (parsed != LineParse::kBlank) {
-      return LineParseError(parsed, source_name, line_no, timestamped);
-    }
-    p = nl != nullptr ? nl + 1 : end;
-  }
-  pump.Flush();
-  pump.FinishLatencies();
-  Finalize(begin, sink, &report);
-  return report;
+  EventReader reader(data, source_name, timestamped);
+  return Ingest(reader, sink, nullptr, nullptr, nullptr, 0);
 }
 
-Result<DriveReport> StreamDriver::DriveFile(const std::string& path,
-                                            bool timestamped,
-                                            StreamSink& sink) const {
-#if SWSAMPLE_HAVE_MMAP
-  // Fast path: map regular files read-only and parse in place — no
-  // per-line copies, no stdio locking, and the kernel readahead streams
-  // pages in under MADV_SEQUENTIAL.
-  auto fd_or = OpenReadFd("ingest.open", path);
-  if (!fd_or.ok()) return fd_or.status();
-  const int fd = fd_or.value();
-  struct stat st;
-  // The SIZE_MAX guard keeps a >4 GiB file on an ILP32 build from being
-  // silently truncated by the size_t cast — such files take the stdio
-  // path instead.
-  if (::fstat(fd, &st) == 0 && S_ISREG(st.st_mode) && st.st_size > 0 &&
-      static_cast<uint64_t>(st.st_size) <= SIZE_MAX) {
-    const size_t size = static_cast<size_t>(st.st_size);
-    void* map = ::mmap(nullptr, size, PROT_READ, MAP_PRIVATE, fd, 0);
-    if (map != MAP_FAILED) {
-      ::madvise(map, size, MADV_SEQUENTIAL);
-      auto result = DriveBuffer(
-          std::string_view(static_cast<const char*>(map), size), path,
-          timestamped, sink);
-      ::munmap(map, size);
-      ::close(fd);
-      return result;
-    }
-  }
-  ::close(fd);
-  // Fall through: empty files, pipes/devices, or mmap failure use stdio.
-#endif
-  auto f_or = OpenStdioFile("ingest.open", path);
-  if (!f_or.ok()) return f_or.status();
-  std::FILE* f = f_or.value();
-  auto result = DriveLines(f, path, timestamped, sink);
-  std::fclose(f);
-  return result;
-}
-
-Result<DriveReport> StreamDriver::DriveLinesCheckpointed(
-    std::FILE* f, const std::string& source_name, bool timestamped,
-    StreamSink& sink, CheckpointWriter* writer,
-    const CheckpointManifest* resume, const ProgressFn& progress,
-    uint64_t progress_every) const {
+Result<DriveReport> StreamDriver::Ingest(EventReader& reader,
+                                         StreamSink& sink,
+                                         CheckpointWriter* writer,
+                                         const CheckpointManifest* resume,
+                                         const ProgressFn& progress,
+                                         uint64_t progress_every) const {
+  const std::string& source_name = reader.source_name();
   if (resume != nullptr) {
     if (resume->shard_items.size() != 1 ||
         resume->shard_items[0] != resume->items) {
@@ -485,30 +472,43 @@ Result<DriveReport> StreamDriver::DriveLinesCheckpointed(
       }
     }
   }
+  if (!progress) progress_every = 0;
+  const uint64_t start = resume == nullptr ? 0 : resume->items;
+  uint64_t next_progress =
+      progress_every == 0 ? 0 : (start / progress_every + 1) * progress_every;
   DriveReport report;
   const auto begin = Clock::now();
   Pump pump(options_, sink, &report);
   StreamSink* const sinks[] = {&sink};
-  auto deliver = [&](const Item& item) -> Status {
-    pump.Push(item);
-    const uint64_t delivered = item.index + 1;
-    // Checkpoints only at batch boundaries — see Pump::buffered().
-    if (writer != nullptr && pump.buffered() == 0 &&
-        writer->Due(delivered)) {
+  // Every Read stops at the next batch boundary (or the end of input):
+  // the only points where checkpoints and progress calls may happen.
+  std::vector<Item> items(
+      std::clamp<uint64_t>(options_.batch_size, 1, kMaxReadItems));
+  for (;;) {
+    const size_t want =
+        options_.batch_size == 0
+            ? 1
+            : std::min<uint64_t>(items.size(),
+                                 options_.batch_size - pump.buffered());
+    const size_t got = reader.Read(std::span<Item>(items.data(), want));
+    if (got == 0) break;
+    pump.PushSpan(std::span<const Item>(items.data(), got));
+    if (pump.buffered() != 0) continue;
+    const Item& last = items[got - 1];
+    const uint64_t delivered = last.index + 1;
+    if (writer != nullptr && writer->Due(delivered)) {
       CheckpointManifest manifest;
       manifest.items = delivered;
-      manifest.last_ts = timestamped ? item.timestamp : 0;
+      manifest.last_ts = reader.timestamped() ? last.timestamp : 0;
       manifest.shard_items = {delivered};
       if (Status s = writer->Write(manifest, sinks); !s.ok()) return s;
     }
-    if (progress && progress_every && delivered % progress_every == 0) {
-      pump.Flush();
+    if (progress_every != 0 && delivered >= next_progress) {
       progress(delivered);
+      next_progress = (delivered / progress_every + 1) * progress_every;
     }
-    return Status::Ok();
-  };
-  auto events = PumpEventLines(f, source_name, timestamped, resume, deliver);
-  if (!events.ok()) return events.status();
+  }
+  if (!reader.status().ok()) return reader.status();
   pump.Flush();
   pump.FinishLatencies();
   Finalize(begin, sink, &report);
@@ -519,14 +519,19 @@ Result<DriveReport> StreamDriver::DriveLinesCheckpointed(
   return report;
 }
 
+Result<DriveReport> StreamDriver::DriveFile(const std::string& path,
+                                            bool timestamped,
+                                            StreamSink& sink) const {
+  return DriveFileCheckpointed(path, timestamped, sink, nullptr, nullptr);
+}
+
 Result<DriveReport> StreamDriver::DriveFileCheckpointed(
     const std::string& path, bool timestamped, StreamSink& sink,
     CheckpointWriter* writer, const CheckpointManifest* resume) const {
   auto f_or = OpenStdioFile("ingest.open", path);
   if (!f_or.ok()) return f_or.status();
   std::FILE* f = f_or.value();
-  auto result =
-      DriveLinesCheckpointed(f, path, timestamped, sink, writer, resume);
+  auto result = DriveLines(f, path, timestamped, sink, writer, resume);
   std::fclose(f);
   return result;
 }

@@ -1,13 +1,17 @@
 // Copyright (c) swsample authors. Licensed under the MIT license.
 
 /// \file
-/// Batched ingestion engine: feeds generated or file-backed streams through
-/// any StreamSink — a sampler or an estimator built by CreateSink — in
-/// batches, and reports throughput and live memory. This is the one place
-/// single-threaded harness code pumps items from — benchmarks, examples
-/// and the CLI share it — and the
-/// sharded engine (stream/sharded_driver.h) reuses its line grammar, so
-/// the two backends stay drop-in interchangeable at call sites.
+/// Batched ingestion engine: feeds in-memory, generated or text streams
+/// through any StreamSink — a sampler or an estimator built by CreateSink
+/// — in batches, and reports throughput and live memory. This is the one
+/// place single-threaded harness code pumps items from — benchmarks,
+/// examples and the CLI share it.
+///
+/// Text input has exactly one reader, EventReader below: files, pipes and
+/// stdin are read in fixed 64 KiB blocks and in-memory buffers are scanned
+/// in place, so every entry point (DriveLines, DriveFile, DriveBuffer and
+/// the sharded engine in stream/sharded_driver.h) parses the same grammar
+/// with the same errors and hands the sink the same batches.
 ///
 /// Ownership: a driver borrows the sink only for the duration of one
 /// Drive* call and holds no state between calls.
@@ -16,11 +20,11 @@
 /// be shared across threads, but each Drive* call pumps one sink from the
 /// calling thread — drive a given sink from one thread at a time.
 ///
-/// Status conventions: unreadable files and malformed input return
-/// InvalidArgument through Result<DriveReport> with "source:line"-prefixed
-/// messages (e.g. `events.txt:17: malformed event line (expected
-/// "<timestamp> <value>")`); Drive/DriveSynthetic cannot fail and return
-/// plain reports.
+/// Status conventions: malformed input returns InvalidArgument through
+/// Result<DriveReport> with "source:line"-prefixed messages (e.g.
+/// `events.txt:17: malformed event line (expected "<timestamp> <value>")`);
+/// unopenable and unreadable inputs fail the drive with a message naming
+/// the source; Drive/DriveSynthetic cannot fail and return plain reports.
 
 #ifndef SWSAMPLE_STREAM_DRIVER_H_
 #define SWSAMPLE_STREAM_DRIVER_H_
@@ -60,6 +64,8 @@ struct DriveReport {
   uint64_t io_giveups = 0;
 };
 
+class EventReader;
+
 /// Drives streams through a sampler or estimator in batches.
 class StreamDriver {
  public:
@@ -88,65 +94,40 @@ class StreamDriver {
   DriveReport DriveSynthetic(SyntheticStream& stream, uint64_t steps,
                              StreamSink& sink) const;
 
-  /// Called every `progress_every` items (pending batches are flushed
-  /// first, so the sink state reflects everything delivered so far).
+  /// Progress callback for DriveLines: receives the stream position.
   using ProgressFn = std::function<void(uint64_t items)>;
 
-  /// Feeds a text stream, one event per line: "<value>" when
-  /// `timestamped` is false (timestamp := arrival index) or
-  /// "<timestamp> <value>" with non-decreasing timestamps when true.
-  /// Blank (whitespace-only) lines are skipped; a malformed line, an
-  /// over-long line, or a decreasing timestamp is an InvalidArgument
-  /// error reported against `source_name` with its line number.
+  /// Feeds a text stream read by EventReader (grammar and errors there).
+  ///
+  /// Crash recovery: `writer` (nullable = disabled) writes periodic
+  /// checkpoints; a non-null `resume` skips the events a restored sink
+  /// (see LoadCheckpoint) already ingested and continues from there.
+  /// Checkpoints and `progress` calls happen only at batch boundaries —
+  /// progress at the first boundary at or after each multiple of
+  /// `progress_every` — so neither shifts the batch segmentation: a
+  /// resumed or progress-reporting run's final state is bit-identical to
+  /// a plain uninterrupted run's. The report counts only items delivered
+  /// by THIS call (resumed runs add resume->items for stream totals).
   Result<DriveReport> DriveLines(std::FILE* f, const std::string& source_name,
                                  bool timestamped, StreamSink& sink,
+                                 CheckpointWriter* writer = nullptr,
+                                 const CheckpointManifest* resume = nullptr,
                                  const ProgressFn& progress = nullptr,
                                  uint64_t progress_every = 0) const;
 
-  /// Zero-copy ingestion over an in-memory text buffer with the DriveLines
-  /// grammar: events are parsed straight out of `data` (no per-line
-  /// std::string, no stdio), errors carry the same "source:line" messages.
-  /// This is the core DriveFile's mmap fast path runs on.
+  /// DriveLines over an in-memory text buffer, parsed in place.
   Result<DriveReport> DriveBuffer(std::string_view data,
                                   const std::string& source_name,
                                   bool timestamped, StreamSink& sink) const;
 
-  /// DriveLines over a file path. Regular files are mmap'ed and ingested
-  /// through DriveBuffer (zero-copy); pipes/devices and platforms without
-  /// mmap fall back to the buffered stdio path. Behavior is identical for
-  /// any input without NUL bytes; stray NULs truncate their line exactly
-  /// like the stdio path's strlen, with one pathological exception — a
-  /// NUL inside an over-long (> 254 chars) line is rejected by both paths
-  /// but may be reported against a different line number (the stdio
-  /// buffer re-splits such lines into 255-byte chunks).
+  /// DriveLines over a file path.
   Result<DriveReport> DriveFile(const std::string& path, bool timestamped,
                                 StreamSink& sink) const;
 
-  /// DriveLines with crash recovery: writes periodic checkpoints through
-  /// `writer` (nullable = disabled) and, when `resume` is non-null,
-  /// skips the first `resume->items` events (the input must replay the
-  /// stream from the beginning) and continues indices from there into a
-  /// sink restored by ResumeFrom. Checkpoints are taken only at batch
-  /// boundaries, so a resumed run's batch segmentation — and therefore
-  /// its RNG draws — is identical to an uninterrupted run's: the final
-  /// state is bit-identical. The report counts only items delivered by
-  /// THIS call (resumed runs add resume->items for stream totals).
-  Result<DriveReport> DriveLinesCheckpointed(
-      std::FILE* f, const std::string& source_name, bool timestamped,
-      StreamSink& sink, CheckpointWriter* writer,
-      const CheckpointManifest* resume, const ProgressFn& progress = nullptr,
-      uint64_t progress_every = 0) const;
-
-  /// DriveLinesCheckpointed over a file path.
+  /// Checkpointed DriveLines over a file path.
   Result<DriveReport> DriveFileCheckpointed(
       const std::string& path, bool timestamped, StreamSink& sink,
       CheckpointWriter* writer, const CheckpointManifest* resume) const;
-
-  /// Reads back the checkpoint committed in `dir` (see
-  /// stream/checkpoint.h); pass its position as `resume` above.
-  static Result<ResumedCheckpoint> ResumeFrom(const std::string& dir) {
-    return LoadCheckpoint(dir);
-  }
 
   const Options& options() const { return options_; }
 
@@ -154,12 +135,19 @@ class StreamDriver {
   /// Shared pump: delivers buffered items, tracks batches + peak memory.
   class Pump;
 
+  /// The one text-ingest body behind DriveLines and DriveBuffer.
+  Result<DriveReport> Ingest(EventReader& reader, StreamSink& sink,
+                             CheckpointWriter* writer,
+                             const CheckpointManifest* resume,
+                             const ProgressFn& progress,
+                             uint64_t progress_every) const;
+
   Options options_;
 };
 
 /// Allocation-free core of the event-line grammar: how one line failed to
-/// parse, if it did. Error strings are built lazily (LineParseError) only
-/// on the failing line — successfully parsed lines allocate nothing.
+/// parse, if it did. EventReader builds error strings only on the failing
+/// line — successfully parsed lines allocate nothing.
 enum class LineParse {
   kOk,           ///< *value (and *ts when timestamped) are set
   kBlank,        ///< whitespace-only line; skip it
@@ -174,21 +162,63 @@ enum class LineParse {
 LineParse ParseEventSpan(const char* begin, const char* end, bool timestamped,
                          Timestamp last_ts, uint64_t* value, Timestamp* ts);
 
-/// Builds the InvalidArgument status for a failed line (cold path).
-Status LineParseError(LineParse failure, const std::string& source_name,
-                      uint64_t line_no, bool timestamped);
+/// The one source of parsed events for both drivers. Reads a FILE* in
+/// fixed kBlockBytes refills (carrying a partial last line to the front
+/// of the block) or scans an in-memory buffer in place as one final block,
+/// and yields one Item per event line:
+///  * "<value>" when `timestamped` is false (timestamp := arrival index),
+///    "<timestamp> <value>" with non-decreasing timestamps when true;
+///  * blank (whitespace-only) lines are skipped; a NUL byte ends the
+///    parsed part of its line, which still runs to the next newline;
+///  * a line longer than kMaxLineChars, a malformed line or a decreasing
+///    timestamp is an InvalidArgument naming `source_name:line`;
+///  * a failed read (EINTR is retried) is an InvalidArgument naming
+///    `source_name`.
+/// With a non-null `resume`, the first `resume->items` events are parsed
+/// but not yielded (the input must replay the stream from the start), the
+/// timestamp at the handoff must match the checkpoint's, and yielded
+/// indices continue the checkpoint's numbering.
+class EventReader {
+ public:
+  /// Bytes per refill: the reader's whole memory footprint on file input.
+  static constexpr size_t kBlockBytes = 64 * 1024;
+  /// Longest accepted event line, not counting its terminator.
+  static constexpr size_t kMaxLineChars = 254;
 
-/// The event-line grammar shared by StreamDriver::DriveLines and the
-/// sharded driver. Parses one NUL-terminated `line` (as read into a
-/// buffer of `line_cap` bytes) into (*value, *ts), enforcing
-/// non-decreasing timestamps against `last_ts` when `timestamped`. Blank
-/// (whitespace-only) lines set *skip and touch nothing else. Over-long
-/// and malformed lines return InvalidArgument mentioning
-/// `source_name:line_no`.
-Status ParseEventLine(const char* line, size_t line_cap, bool timestamped,
-                      const std::string& source_name, uint64_t line_no,
-                      Timestamp last_ts, uint64_t* value, Timestamp* ts,
-                      bool* skip);
+  /// Reads `f` (borrowed; the caller closes it) until end of file.
+  EventReader(std::FILE* f, std::string source_name, bool timestamped,
+              const CheckpointManifest* resume = nullptr);
+  /// Scans `data` in place; it must outlive the reader.
+  EventReader(std::string_view data, std::string source_name,
+              bool timestamped, const CheckpointManifest* resume = nullptr);
+
+  /// Parses the next events past the resume point into `out` and returns
+  /// how many. Fewer than out.size() only at the end of the input or at
+  /// the first error; 0 once either is reached — status() tells which.
+  size_t Read(std::span<Item> out);
+
+  /// Ok until a parse, read or resume-handoff error stops the reader.
+  const Status& status() const { return status_; }
+  const std::string& source_name() const { return source_name_; }
+  bool timestamped() const { return timestamped_; }
+
+ private:
+  bool Refill();
+
+  std::FILE* file_ = nullptr;  // null when scanning a buffer
+  std::vector<char> block_;    // kBlockBytes when reading a file
+  const char* p_ = nullptr;    // next unscanned byte
+  const char* end_ = nullptr;  // end of the bytes read so far
+  bool eof_ = false;           // nothing follows end_
+  std::string source_name_;
+  bool timestamped_;
+  uint64_t skip_ = 0;          // events already ingested before resume
+  Timestamp resume_ts_ = 0;    // the checkpoint's clock at the handoff
+  uint64_t line_no_ = 0;
+  StreamIndex index_ = 0;
+  Timestamp last_ts_ = 0;
+  Status status_;
+};
 
 }  // namespace swsample
 

@@ -27,6 +27,9 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Items the producer parses per EventReader::Read before routing them.
+constexpr size_t kReadItems = 1024;
+
 /// Key-hash partition function: the shared SplitMix64 finalizer
 /// (util/flat_map.h) over a golden-ratio-offset key — bit-identical to
 /// the file-local copy it replaces. Uniform enough that per-shard loads
@@ -492,51 +495,6 @@ Result<ShardedDriveReport> ShardedStreamDriver::DriveSynthetic(
 
 Result<ShardedDriveReport> ShardedStreamDriver::DriveLines(
     std::FILE* f, const std::string& source_name, bool timestamped,
-    std::span<StreamSink* const> shards) const {
-  if (Status s = Validate(shards); !s.ok()) return s;
-  const auto begin = Clock::now();
-  Engine engine(options_, shards);
-  OwnedRouter router(options_, shards.size(), engine);
-  char line[256];
-  StreamIndex index = 0;
-  Timestamp last_ts = 0;
-  uint64_t line_no = 0;
-  while (std::fgets(line, sizeof(line), f)) {
-    ++line_no;
-    uint64_t value = 0;
-    Timestamp ts = 0;
-    bool skip = false;
-    if (Status s = ParseEventLine(line, sizeof(line), timestamped,
-                                  source_name, line_no, last_ts, &value, &ts,
-                                  &skip);
-        !s.ok()) {
-      return s;  // ~Engine stops and joins the workers
-    }
-    if (skip) continue;
-    if (timestamped) {
-      last_ts = ts;
-    } else {
-      ts = static_cast<Timestamp>(index);
-    }
-    router.Add(Item{value, index++, ts});
-  }
-  router.FinishStream();
-  return AssembleReport(begin, engine.Finish(), /*empty_steps=*/0);
-}
-
-Result<ShardedDriveReport> ShardedStreamDriver::DriveFile(
-    const std::string& path, bool timestamped,
-    std::span<StreamSink* const> shards) const {
-  auto f_or = OpenStdioFile("ingest.open", path);
-  if (!f_or.ok()) return f_or.status();
-  std::FILE* f = f_or.value();
-  auto result = DriveLines(f, path, timestamped, shards);
-  std::fclose(f);
-  return result;
-}
-
-Result<ShardedDriveReport> ShardedStreamDriver::DriveLinesCheckpointed(
-    std::FILE* f, const std::string& source_name, bool timestamped,
     std::span<StreamSink* const> shards, CheckpointWriter* writer,
     const CheckpointManifest* resume) const {
   if (Status s = Validate(shards); !s.ok()) return s;
@@ -568,9 +526,14 @@ Result<ShardedDriveReport> ShardedStreamDriver::DriveLinesCheckpointed(
                                   : std::span<const uint64_t>(
                                         resume->shard_items));
   OwnedRouter router(options_, shards.size(), engine, resume);
-  auto deliver = [&](const Item& item) -> Status {
-    router.Add(item);
-    if (writer != nullptr && writer->Due(item.index + 1)) {
+  EventReader reader(f, source_name, timestamped, resume);
+  // A parse error ends this loop and a failed checkpoint write returns
+  // from it; ~Engine stops and joins the workers on every exit path.
+  std::vector<Item> items(kReadItems);
+  while (const size_t got = reader.Read(items)) {
+    for (const Item& item : std::span<const Item>(items.data(), got)) {
+      router.Add(item);
+      if (writer == nullptr || !writer->Due(item.index + 1)) continue;
       // Drain the workers so shard sinks are stable, then persist the
       // sinks plus the router's un-flushed buffers.
       engine.Quiesce();
@@ -582,12 +545,8 @@ Result<ShardedDriveReport> ShardedStreamDriver::DriveLinesCheckpointed(
       router.ExportTo(&manifest);
       if (Status s = writer->Write(manifest, shards); !s.ok()) return s;
     }
-    return Status::Ok();
-  };
-  // Parse errors and failed checkpoint writes return through here;
-  // ~Engine stops and joins the workers on every exit path.
-  auto events = PumpEventLines(f, source_name, timestamped, resume, deliver);
-  if (!events.ok()) return events.status();
+  }
+  if (!reader.status().ok()) return reader.status();
   router.FinishStream();
   auto report = AssembleReport(begin, engine.Finish(), /*empty_steps=*/0);
   if (writer != nullptr) {
@@ -604,8 +563,7 @@ Result<ShardedDriveReport> ShardedStreamDriver::DriveFileCheckpointed(
   auto f_or = OpenStdioFile("ingest.open", path);
   if (!f_or.ok()) return f_or.status();
   std::FILE* f = f_or.value();
-  auto result = DriveLinesCheckpointed(f, path, timestamped, shards, writer,
-                                       resume);
+  auto result = DriveLines(f, path, timestamped, shards, writer, resume);
   std::fclose(f);
   return result;
 }

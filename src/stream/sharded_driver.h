@@ -52,9 +52,13 @@
 /// workers. Shard sinks must NOT be touched by the caller while a Drive*
 /// call is in flight.
 ///
+/// Text input goes through the same EventReader as StreamDriver (see
+/// stream/driver.h): the producer reads fixed-size blocks and parses them
+/// in place, then routes the items.
+///
 /// Status conventions: option and shard-set validation errors come back
-/// as InvalidArgument from Drive*; file/parse errors propagate exactly
-/// like StreamDriver::DriveLines (source:line prefixed messages).
+/// as InvalidArgument from Drive*; open, read and parse errors propagate
+/// exactly like StreamDriver::DriveLines (source:line prefixed messages).
 
 #ifndef SWSAMPLE_STREAM_SHARDED_DRIVER_H_
 #define SWSAMPLE_STREAM_SHARDED_DRIVER_H_
@@ -145,37 +149,26 @@ class ShardedStreamDriver {
       SyntheticStream& stream, uint64_t steps,
       std::span<StreamSink* const> shards) const;
 
-  /// Feeds a text stream with StreamDriver::DriveLines' grammar and error
-  /// behavior: "<value>" lines (timestamp := arrival index) or
-  /// "<timestamp> <value>" with non-decreasing timestamps; blank lines
-  /// skipped; malformed/over-long lines and decreasing timestamps are
-  /// InvalidArgument against `source_name` with the line number.
+  /// Feeds a text stream read by EventReader (stream/driver.h: grammar
+  /// and errors there).
+  ///
+  /// Crash recovery: `writer` (nullable = disabled) writes periodic
+  /// checkpoints; a non-null `resume` skips the events of the replayed
+  /// input that shard sinks restored by ResumeFrom already ingested. A
+  /// checkpoint quiesces the workers (barrier through every queue),
+  /// serializes the shard sinks, and persists the router's un-flushed
+  /// buffers in the manifest — so the resumed run's chunk segmentation,
+  /// per-shard delivery order and RNG draws are identical to an
+  /// uninterrupted run's. Requires the same shard count, chunk_items, and
+  /// partition mode as the run that wrote the checkpoint (validated
+  /// against the manifest), and key_shift == 0. The report counts only
+  /// items delivered by THIS call.
   Result<ShardedDriveReport> DriveLines(
       std::FILE* f, const std::string& source_name, bool timestamped,
-      std::span<StreamSink* const> shards) const;
+      std::span<StreamSink* const> shards, CheckpointWriter* writer = nullptr,
+      const CheckpointManifest* resume = nullptr) const;
 
   /// DriveLines over a file path.
-  Result<ShardedDriveReport> DriveFile(
-      const std::string& path, bool timestamped,
-      std::span<StreamSink* const> shards) const;
-
-  /// DriveLines with crash recovery: writes periodic checkpoints through
-  /// `writer` (nullable = disabled) and, when `resume` is non-null,
-  /// skips the first `resume->items` events of the replayed input and
-  /// continues into shard sinks restored by ResumeFrom. A checkpoint
-  /// quiesces the workers (barrier through every queue), serializes the
-  /// shard sinks, and persists the router's un-flushed buffers in the
-  /// manifest — so the resumed run's chunk segmentation, per-shard
-  /// delivery order and RNG draws are identical to an uninterrupted
-  /// run's. Requires the same shard count, chunk_items, and partition
-  /// mode as the run that wrote the checkpoint (validated against the
-  /// manifest). The report counts only items delivered by THIS call.
-  Result<ShardedDriveReport> DriveLinesCheckpointed(
-      std::FILE* f, const std::string& source_name, bool timestamped,
-      std::span<StreamSink* const> shards, CheckpointWriter* writer,
-      const CheckpointManifest* resume) const;
-
-  /// DriveLinesCheckpointed over a file path.
   Result<ShardedDriveReport> DriveFileCheckpointed(
       const std::string& path, bool timestamped,
       std::span<StreamSink* const> shards, CheckpointWriter* writer,

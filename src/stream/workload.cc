@@ -558,19 +558,4 @@ Result<std::vector<Item>> ReadTrace(const std::string& path) {
   return items;
 }
 
-Result<DriveReport> ReplayTrace(const StreamDriver& driver,
-                                const std::string& path, StreamSink& sink) {
-  auto items = ReadTrace(path);
-  if (!items.ok()) return items.status();
-  return driver.Drive(items.value(), sink);
-}
-
-Result<ShardedDriveReport> ReplayTraceSharded(
-    const ShardedStreamDriver& driver, const std::string& path,
-    std::span<StreamSink* const> shards) {
-  auto items = ReadTrace(path);
-  if (!items.ok()) return items.status();
-  return driver.Drive(items.value(), shards);
-}
-
 }  // namespace swsample

@@ -63,9 +63,7 @@
 #include <string_view>
 #include <vector>
 
-#include "stream/driver.h"
 #include "stream/item.h"
-#include "stream/sharded_driver.h"
 #include "util/rng.h"
 #include "util/status.h"
 
@@ -172,15 +170,6 @@ Status WriteTrace(const std::string& path, std::span<const Item> items);
 /// consecutive from 0. Fails with a descriptive Status on a bad magic,
 /// truncation, or a count that disagrees with the payload.
 Result<std::vector<Item>> ReadTrace(const std::string& path);
-
-/// Replays a trace through the single-threaded driver into `sink`.
-Result<DriveReport> ReplayTrace(const StreamDriver& driver,
-                                const std::string& path, StreamSink& sink);
-
-/// Replays a trace through the sharded driver into `shards`.
-Result<ShardedDriveReport> ReplayTraceSharded(
-    const ShardedStreamDriver& driver, const std::string& path,
-    std::span<StreamSink* const> shards);
 
 }  // namespace swsample
 

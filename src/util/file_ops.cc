@@ -189,23 +189,6 @@ Status RemoveFile(const char* site, const std::string& path) {
   return Status::Ok();
 }
 
-Result<int> OpenReadFd(const char* site, const std::string& path) {
-#ifndef _WIN32
-  const FaultClass fault = Failpoint::At(site).Hit();
-  if (fault != FaultClass::kNone) {
-    return InjectedError(fault, "opening", path);
-  }
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
-    return ErrnoStatus("cannot open", path, errno);
-  }
-  return fd;
-#else
-  (void)site;
-  return Status::InvalidArgument("io: OpenReadFd unsupported on " + path);
-#endif
-}
-
 Result<std::FILE*> OpenStdioFile(const char* site, const std::string& path) {
   const FaultClass fault = Failpoint::At(site).Hit();
   if (fault != FaultClass::kNone) {

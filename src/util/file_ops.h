@@ -2,7 +2,7 @@
 //
 // The FileOps seam: every durable-file primitive used by the persistence
 // and ingestion layers (checkpoint shards, MANIFEST commits, keyed spill
-// files, the async restore lane, mmap ingestion) funnels through these
+// files, the async restore lane, ingestion opens) funnels through these
 // functions. Each takes a failpoint *site* name, so a deterministic fault
 // — transient error, torn write, fsync lie, failed rename — can be
 // injected at exactly that layer (see util/failpoint.h for the grammar).
@@ -83,13 +83,9 @@ void SyncDirectory(const std::string& dir);
 /// fails it with a retryable error.
 Status RemoveFile(const char* site, const std::string& path);
 
-/// Opens `path` read-only for mmap-style ingestion; returns the fd.
-/// Injection at `site` fails the open with a retryable error.
-Result<int> OpenReadFd(const char* site, const std::string& path);
-
-/// Opens `path` for buffered stdio reading (the drivers' line-pump
-/// paths). Caller std::fcloses the handle. Injection at `site` fails the
-/// open with a retryable error.
+/// Opens `path` for reading (the drivers' EventReader input). Caller
+/// std::fcloses the handle. Injection at `site` fails the open with a
+/// retryable error.
 Result<std::FILE*> OpenStdioFile(const char* site, const std::string& path);
 
 /// Unlinks every directory entry whose name ends in ".tmp" — temps

@@ -343,7 +343,7 @@ TEST(DriverCheckpointTest, SingleSinkResumeMatchesUninterruptedRun) {
   }
 
   // Resume in a "new process": restore from disk, replay the full input.
-  auto resumed = StreamDriver::ResumeFrom(dir);
+  auto resumed = LoadCheckpoint(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   ASSERT_EQ(resumed.value().shards.size(), 1u);
   EXPECT_EQ(resumed.value().position.items, 2048u);
@@ -415,7 +415,7 @@ TEST(DriverCheckpointTest, TsSamplerResumeCutInsideSameTimestampRun) {
     EXPECT_EQ(writer.last_written_items(), 2048u);
   }
 
-  auto resumed = StreamDriver::ResumeFrom(dir);
+  auto resumed = LoadCheckpoint(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   ASSERT_EQ(resumed.value().shards.size(), 1u);
   EXPECT_EQ(resumed.value().position.items, 2048u);
@@ -468,7 +468,7 @@ TEST(DriverCheckpointTest, SingleEstimatorResumeMatchesUninterruptedRun) {
     EXPECT_GT(writer.last_written_items(), 0u);
   }
 
-  auto resumed = StreamDriver::ResumeFrom(dir);
+  auto resumed = LoadCheckpoint(dir);
   ASSERT_TRUE(resumed.ok()) << resumed.status().ToString();
   ASSERT_EQ(resumed.value().shards.size(), 1u);
   ASSERT_TRUE(driver
@@ -510,7 +510,10 @@ TEST(DriverCheckpointTest, ShardedChunksResumeMatchesUninterruptedRun) {
       CreateShardedSinks(config, kShards).ValueOrDie();
   {
     auto sinks = SinkPointers(reference);
-    ASSERT_TRUE(driver.DriveFile(stream, false, sinks).ok());
+    ASSERT_TRUE(driver
+                    .DriveFileCheckpointed(stream, false, sinks, nullptr,
+                                           nullptr)
+                    .ok());
   }
 
   {
@@ -581,7 +584,10 @@ TEST(DriverCheckpointTest, ShardedKeyHashEstimatorResumeMatches) {
       CreateShardedSinks(config, kShards).ValueOrDie();
   {
     auto sinks = SinkPointers(reference);
-    ASSERT_TRUE(driver.DriveFile(stream, true, sinks).ok());
+    ASSERT_TRUE(driver
+                    .DriveFileCheckpointed(stream, true, sinks, nullptr,
+                                           nullptr)
+                    .ok());
   }
 
   {
@@ -723,7 +729,7 @@ TEST(DriverCheckpointTest, ResumeDetectsDivergentReplay) {
         driver.DriveFileCheckpointed(stream, true, *sink, &writer, nullptr)
             .ok());
   }
-  auto resumed = StreamDriver::ResumeFrom(dir);
+  auto resumed = LoadCheckpoint(dir);
   ASSERT_TRUE(resumed.ok());
   // Replay a DIFFERENT stream (same length, different timestamps).
   const std::string other =

@@ -405,19 +405,23 @@ TEST(ShardedDriverTest, DriveFileParsesAndPropagatesErrors) {
   auto replicas = CreateShardedSinks(config, 2).ValueOrDie();
   auto sinks = SinkPointers(replicas);
   ShardedStreamDriver driver(SmallChunkOptions(2, ShardPartition::kChunks));
-  auto good = driver.DriveFile(good_path, /*timestamped=*/false, sinks);
+  auto good = driver.DriveFileCheckpointed(good_path, /*timestamped=*/false,
+                                           sinks, nullptr, nullptr);
   ASSERT_TRUE(good.ok());
   EXPECT_EQ(good.value().total.items, 1000u);
 
-  auto bad = driver.DriveFile(bad_path, /*timestamped=*/false, sinks);
+  auto bad = driver.DriveFileCheckpointed(bad_path, /*timestamped=*/false,
+                                          sinks, nullptr, nullptr);
   ASSERT_FALSE(bad.ok());
   EXPECT_NE(bad.status().message().find(":3"), std::string::npos)
       << bad.status().ToString();
   EXPECT_NE(bad.status().message().find("malformed event line"),
             std::string::npos);
 
-  EXPECT_FALSE(
-      driver.DriveFile("/no/such/file", false, sinks).ok());
+  EXPECT_FALSE(driver
+                   .DriveFileCheckpointed("/no/such/file", false, sinks,
+                                          nullptr, nullptr)
+                   .ok());
   std::remove(good_path.c_str());
   std::remove(bad_path.c_str());
 }

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -13,6 +14,7 @@
 
 #include "stream/arrival.h"
 #include "stream/driver.h"
+#include "stream/sharded_driver.h"
 #include "stream/stream_gen.h"
 #include "stream/value_gen.h"
 #include "test_sinks.h"
@@ -178,11 +180,12 @@ TEST(SyntheticStreamTest, EmptyStepsAreLegal) {
   EXPECT_GT(empty_steps, 1000);  // e^-0.2 ~ 0.82 of steps are empty
 }
 
-// --- DriveFile mmap fast path vs stdio line path -------------------------
+// --- DriveFile (block reads) vs DriveBuffer (one in-memory block) --------
 //
-// DriveFile maps regular files and parses in place (DriveBuffer); the
-// stdio DriveLines path must stay drop-in equivalent: same items, same
-// final sampler state bit for bit, same errors with the same line numbers.
+// Both go through EventReader: a file is read in kBlockBytes refills with
+// partial lines carried across block edges, a buffer is scanned in place.
+// The two must agree exactly: same items, same final sampler state bit
+// for bit, same errors with the same line numbers.
 
 class DriverEquivalenceTest : public ::testing::Test {
  protected:
@@ -204,8 +207,8 @@ class DriverEquivalenceTest : public ::testing::Test {
     return w.Release();
   }
 
-  /// Runs the same file through DriveFile (mmap) and DriveLines (stdio)
-  /// on same-seeded samplers and requires identical outcomes.
+  /// Runs the same bytes through DriveFile and DriveBuffer on
+  /// same-seeded samplers and requires identical outcomes.
   void ExpectEquivalent(const std::string& text, bool timestamped) {
     WriteFile(text);
     SinkSpec config;
@@ -214,29 +217,36 @@ class DriverEquivalenceTest : public ::testing::Test {
     config.window_t = 8;
     config.k = 4;
     config.seed = 42;
-    auto mapped = MakeSampler(config).ValueOrDie();
-    auto stdio = MakeSampler(config).ValueOrDie();
+    auto from_file = MakeSampler(config).ValueOrDie();
+    auto from_buffer = MakeSampler(config).ValueOrDie();
     StreamDriver driver;
 
-    auto mapped_result = driver.DriveFile(path_, timestamped, *mapped);
-    std::FILE* f = std::fopen(path_.c_str(), "r");
-    ASSERT_NE(f, nullptr);
-    auto stdio_result = driver.DriveLines(f, path_, timestamped, *stdio);
-    std::fclose(f);
+    auto file_result = driver.DriveFile(path_, timestamped, *from_file);
+    auto buffer_result =
+        driver.DriveBuffer(text, path_, timestamped, *from_buffer);
 
-    ASSERT_EQ(mapped_result.ok(), stdio_result.ok());
-    if (!mapped_result.ok()) {
-      EXPECT_EQ(mapped_result.status().message(),
-                stdio_result.status().message());
+    ASSERT_EQ(file_result.ok(), buffer_result.ok());
+    if (!file_result.ok()) {
+      EXPECT_EQ(file_result.status().message(),
+                buffer_result.status().message());
       return;
     }
-    EXPECT_EQ(mapped_result.value().items, stdio_result.value().items);
-    EXPECT_EQ(mapped_result.value().batches, stdio_result.value().batches);
-    EXPECT_EQ(SamplerStateBytes(*mapped), SamplerStateBytes(*stdio));
+    items_ = file_result.value().items;
+    EXPECT_EQ(file_result.value().items, buffer_result.value().items);
+    EXPECT_EQ(file_result.value().batches, buffer_result.value().batches);
+    EXPECT_EQ(SamplerStateBytes(*from_file), SamplerStateBytes(*from_buffer));
   }
 
   std::string path_;
+  uint64_t items_ = 0;  // delivered by the last equivalent pair of drives
 };
+
+/// Appends "1\n" lines (and one blank line for an odd gap) until `text`
+/// is exactly `size` bytes long.
+void PadTo(std::string& text, size_t size) {
+  while (text.size() + 2 <= size) text += "1\n";
+  if (text.size() < size) text += "\n";
+}
 
 TEST_F(DriverEquivalenceTest, PlainValues) {
   std::string text;
@@ -269,33 +279,59 @@ TEST_F(DriverEquivalenceTest, MissingTrailingNewline) {
 
 TEST_F(DriverEquivalenceTest, NulInsideOverlongLineRejectedByBothPaths) {
   // Doubly out-of-grammar garbage: a NUL inside a >254-char line. The
-  // stdio buffer re-splits such a line into 255-byte chunks, so the two
-  // paths may name different line numbers — but both must reject it
-  // (see DriveFile's doc; this is the one sanctioned divergence).
-  const std::string text =
-      "1\n" + (std::string("7") + '\0' + std::string(300, 'x')) + "\n2\n";
-  WriteFile(text);
-  SinkSpec config;
-  config.name = "bop-seq-single";
-  config.window_n = 4;
-  config.k = 1;
-  config.seed = 1;
-  auto mapped = MakeSampler(config).ValueOrDie();
-  auto stdio = MakeSampler(config).ValueOrDie();
-  StreamDriver driver;
-  auto mapped_result = driver.DriveFile(path_, false, *mapped);
-  std::FILE* f = std::fopen(path_.c_str(), "r");
-  ASSERT_NE(f, nullptr);
-  auto stdio_result = driver.DriveLines(f, path_, false, *stdio);
-  std::fclose(f);
-  EXPECT_FALSE(mapped_result.ok());
-  EXPECT_FALSE(stdio_result.ok());
+  // length limit counts the whole line, NUL and all, so both paths reject
+  // it with the same message and line number.
+  ExpectEquivalent(
+      "1\n" + (std::string("7") + '\0' + std::string(300, 'x')) + "\n2\n",
+      /*timestamped=*/false);
+}
+
+TEST_F(DriverEquivalenceTest, OverlongLineAcrossBlockEdgeSameError) {
+  // The over-long line starts right before a block edge, so the file path
+  // finds it while carrying the partial line into the next block.
+  std::string text;
+  PadTo(text, EventReader::kBlockBytes - 10);
+  ExpectEquivalent(text + std::string(300, '7') + "\n2\n",
+                   /*timestamped=*/false);
+}
+
+TEST_F(DriverEquivalenceTest, LinesStraddleBlockEdges) {
+  // Several blocks of input. A file block ends where the previous one's
+  // carried partial line ends, so each edge is placed relative to the one
+  // before: a value split between its digits, a "\r\n" split between its
+  // two bytes, a blank line split before its newline, and a line whose
+  // newline is the block's last byte.
+  constexpr size_t kBlock = EventReader::kBlockBytes;
+  std::string text;
+  size_t edge = kBlock;
+  PadTo(text, edge - 2);
+  text += "98765\n";  // "98" is carried
+  edge += kBlock - 2;
+  PadTo(text, edge - 4);
+  text += "123\r\n";  // '\r' is the block's last byte; "123\r" is carried
+  edge += kBlock - 4;
+  PadTo(text, edge - 2);
+  text += "  \n";  // blank line: two spaces carried
+  edge += kBlock - 2;
+  PadTo(text, edge - 4);
+  text += "456\n";  // ends exactly on the edge: nothing carried
+  text += "7\n8";   // no trailing newline
+  ASSERT_GT(text.size(), 3 * kBlock);
+
+  uint64_t lines = 0;
+  for (size_t pos = 0; pos < text.size();) {
+    size_t nl = text.find('\n', pos);
+    if (nl == std::string::npos) nl = text.size();
+    if (text.find_first_not_of(" \r", pos) < nl) ++lines;
+    pos = nl + 1;
+  }
+  ExpectEquivalent(text, /*timestamped=*/false);
+  EXPECT_EQ(items_, lines);
 }
 
 TEST_F(DriverEquivalenceTest, StrayNulTruncatesLineOnBothPaths) {
-  // The stdio path parses with strlen semantics, so a NUL truncates its
-  // line; the mmap path mirrors that (out-of-grammar input, but the two
-  // paths must still agree).
+  // A NUL ends the parsed part of its line (out-of-grammar input, but
+  // both paths must still agree).
   ExpectEquivalent(std::string("5\n") + std::string("\0 junk\n", 7) +
                        "6\n" + std::string("7\0 tail\n", 8),
                    /*timestamped=*/false);
@@ -341,6 +377,71 @@ TEST_F(DriverEquivalenceTest, EmptyFileDeliversNothing) {
   auto result = StreamDriver().DriveFile(path_, false, *sampler);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().items, 0u);
+}
+
+TEST_F(DriverEquivalenceTest, ProgressLeavesSinkStateUnchanged) {
+  // Progress fires only at batch boundaries, so a reporting run feeds the
+  // sink exactly the batches a silent run does.
+  std::string text;
+  for (int i = 0; i < 50000; ++i) text += std::to_string(i * 7 % 1009) + "\n";
+  WriteFile(text);
+  SinkSpec config;
+  config.name = "bop-seq-swor";
+  config.window_n = 3000;
+  config.k = 8;
+  config.seed = 9;
+  StreamDriver::Options options;
+  options.batch_size = 1024;
+  const StreamDriver driver(options);
+  auto drive = [&](WindowSampler& sampler,
+                   const StreamDriver::ProgressFn& progress) {
+    std::FILE* f = std::fopen(path_.c_str(), "r");
+    EXPECT_NE(f, nullptr);
+    auto result = driver.DriveLines(f, path_, false, sampler, nullptr,
+                                    nullptr, progress, 10000);
+    std::fclose(f);
+    return result;
+  };
+  auto silent = MakeSampler(config).ValueOrDie();
+  ASSERT_TRUE(drive(*silent, nullptr).ok());
+  auto reporting = MakeSampler(config).ValueOrDie();
+  std::vector<uint64_t> calls;
+  ASSERT_TRUE(
+      drive(*reporting, [&](uint64_t items) { calls.push_back(items); })
+          .ok());
+  EXPECT_EQ(SamplerStateBytes(*silent), SamplerStateBytes(*reporting));
+  // The first boundary at or after each multiple of 10000.
+  EXPECT_EQ(calls, (std::vector<uint64_t>{10240, 20480, 30720, 40960}));
+}
+
+TEST(EventReaderTest, ReadErrorsFailEveryFileDrive) {
+  // A directory opens as a FILE* but every read of it fails: each file
+  // entry point must report that instead of ending the stream quietly.
+  const std::string dir = ::testing::TempDir() + "/event_reader_dir";
+  std::filesystem::create_directories(dir);
+  SinkSpec config;
+  config.name = "bop-seq-swor";
+  config.window_n = 8;
+  config.k = 2;
+  config.seed = 5;
+  auto sampler = MakeSampler(config).ValueOrDie();
+  const StreamDriver driver;
+  auto single = driver.DriveFile(dir, false, *sampler);
+  ASSERT_FALSE(single.ok());
+  EXPECT_NE(single.status().message().find(dir), std::string::npos)
+      << single.status().ToString();
+  EXPECT_FALSE(
+      driver.DriveFileCheckpointed(dir, false, *sampler, nullptr, nullptr)
+          .ok());
+  auto shards = CreateShardedSinks(config, 2).ValueOrDie();
+  ShardedStreamDriver::Options options;
+  options.threads = 2;
+  auto sharded = ShardedStreamDriver(options).DriveFileCheckpointed(
+      dir, false, SinkPointers(shards), nullptr, nullptr);
+  ASSERT_FALSE(sharded.ok());
+  EXPECT_NE(sharded.status().message().find(dir), std::string::npos)
+      << sharded.status().ToString();
+  std::filesystem::remove(dir);
 }
 
 TEST(DriveBufferTest, ParsesDirectlyFromMemory) {
