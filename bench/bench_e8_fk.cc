@@ -11,6 +11,7 @@
 
 #include <cmath>
 #include <deque>
+#include <memory>
 #include <utility>
 #include <vector>
 
@@ -18,7 +19,7 @@
 #include "bench/bench_util.h"
 #include "stats/exact.h"
 #include "stream/driver.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 
 namespace swsample::bench {
 namespace {
@@ -29,16 +30,25 @@ const std::vector<uint64_t>& UnitCounts() {
   return SmokeMode() ? smoke : full;
 }
 
+// constant@zipf,rate=1 over [0, domain): item i is {zipf value, i, i}.
+std::unique_ptr<WorkloadGenerator> ZipfPerStep(uint64_t domain, double alpha,
+                                               uint64_t seed) {
+  WorkloadSpec spec;
+  spec.values = WorkloadValues::kZipf;
+  spec.rate = 1;
+  spec.domain = domain;
+  spec.alpha = alpha;
+  return WorkloadGenerator::Create(spec, seed).ValueOrDie();
+}
+
 void RunCase(uint32_t moment, double alpha, uint64_t domain) {
   const uint64_t n = Scaled(1 << 14);
   const uint64_t len = 3 * n;
   // One fixed stream per case.
-  auto gen = ZipfValues::Create(domain, alpha).ValueOrDie();
-  Rng rng(Rng::ForkSeed(static_cast<uint64_t>(alpha * 100), moment));
-  std::vector<Item> items(len);
-  for (uint64_t i = 0; i < len; ++i) {
-    items[i] = Item{gen->Next(rng), i, static_cast<Timestamp>(i)};
-  }
+  const std::vector<Item> items =
+      ZipfPerStep(domain, alpha,
+                  Rng::ForkSeed(static_cast<uint64_t>(alpha * 100), moment))
+          ->Take(len);
 
   std::deque<uint64_t> window_q;
   for (const Item& item : items) {
@@ -78,15 +88,16 @@ void RunCase(uint32_t moment, double alpha, uint64_t domain) {
 // forward counts on the covering decomposition.
 void RunTimestampCase(double alpha) {
   const Timestamp t0 = static_cast<Timestamp>(Scaled(1 << 10, 4));
-  auto gen = ZipfValues::Create(1 << 8, alpha).ValueOrDie();
-  Rng rng(Rng::ForkSeed(static_cast<uint64_t>(alpha * 1000), 7));
+  const uint64_t seed = Rng::ForkSeed(static_cast<uint64_t>(alpha * 1000), 7);
+  auto gen = ZipfPerStep(1 << 8, alpha, seed);
+  Rng rng(seed);
   // Materialize one bursty stream (1..3 items per step).
   std::vector<Item> items;
   uint64_t index = 0;
   for (Timestamp t = 0; t < 3 * t0; ++t) {
     const uint64_t burst = 1 + rng.UniformIndex(3);
     for (uint64_t i = 0; i < burst; ++i) {
-      items.push_back(Item{gen->Next(rng), index++, t});
+      items.push_back(Item{gen->Take(1)[0].value, index++, t});
     }
   }
   const Timestamp end = 3 * t0 - 1;

@@ -15,11 +15,11 @@
 #include <cinttypes>
 #include <cstdio>
 #include <map>
+#include <vector>
 
 #include "apps/sink_spec.h"
-#include "stream/arrival.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
+#include "util/rng.h"
 
 using namespace swsample;
 
@@ -35,19 +35,30 @@ int main() {
   WindowSampler* sampler = sink.sampler;
 
   // Traffic: 256 sources with Zipf popularity, bursty arrivals whose rate
-  // swings over a day-night cycle (lambda 8 by "day", 0.5 by "night").
-  auto sources = ZipfValues::Create(256, 1.2).ValueOrDie();
-  Rng rng(99);
-  uint64_t index = 0;
+  // swings over a day-night cycle (lambda 8 by "day", 0.5 by "night"):
+  // one Poisson workload per 150-tick phase, shifted to the phase start.
+  const Timestamp phase = 150;
+  std::vector<Item> traffic;
+  for (Timestamp start = 0; start < 600; start += phase) {
+    const bool day = (start / phase) % 2 == 0;
+    auto packets =
+        WorkloadGenerator::Create(
+            day ? "poisson@zipf,lambda=8,domain=256,alpha=1.2"
+                : "poisson@zipf,lambda=0.5,domain=256,alpha=1.2",
+            Rng::ForkSeed(99, static_cast<uint64_t>(start)))
+            .ValueOrDie();
+    for (Item p = packets->Take(1)[0]; p.timestamp < phase;
+         p = packets->Take(1)[0]) {
+      traffic.push_back(Item{p.value, traffic.size(), start + p.timestamp});
+    }
+  }
   uint64_t peak_memory = 0;
 
+  size_t next = 0;
   for (Timestamp t = 0; t < 600; ++t) {
-    const bool day = (t / 150) % 2 == 0;
-    const double lambda = day ? 8.0 : 0.5;
-    auto arrivals = PoissonBurstArrivals::Create(lambda).ValueOrDie();
-    const uint64_t burst = arrivals->CountAt(t, rng);
-    for (uint64_t p = 0; p < burst; ++p) {
-      sampler->Observe(Item{sources->Next(rng), index++, t});
+    const bool day = (t / phase) % 2 == 0;
+    for (; next < traffic.size() && traffic[next].timestamp == t; ++next) {
+      sampler->Observe(traffic[next]);
     }
     sampler->AdvanceTime(t);
     if (sampler->MemoryWords() > peak_memory) {

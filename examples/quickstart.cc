@@ -11,12 +11,11 @@
 // deterministic while the window holds tens of thousands of items.
 
 #include <cstdio>
-#include <memory>
 #include <vector>
 
 #include "apps/sink_spec.h"
-#include "stream/value_gen.h"
-#include "util/rng.h"
+#include "stream/driver.h"
+#include "stream/workload.h"
 
 using namespace swsample;
 
@@ -41,19 +40,16 @@ int main() {
 
   // A synthetic sensor: Zipf-skewed readings, 4 per tick, ingested in
   // batches (the fast path for the sequence samplers).
-  auto values = ZipfValues::Create(1000, 1.1).ValueOrDie();
-  Rng rng(42);
   const uint64_t total = 100000;
-  std::vector<Item> batch;
-  const uint64_t batch_size = 4096;
-  batch.reserve(batch_size);
-  for (uint64_t i = 0; i < total; ++i) {
-    batch.push_back(Item{values->Next(rng), i, static_cast<Timestamp>(i / 4)});
-    if (batch.size() == batch_size || i + 1 == total) {
-      for (Sink& s : sinks) s.sink->ObserveBatch(std::span<const Item>(batch));
-      batch.clear();
-    }
-  }
+  const std::vector<Item> readings =
+      WorkloadGenerator::Create("constant@zipf,rate=4,domain=1000,alpha=1.1",
+                                42)
+          .ValueOrDie()
+          ->Take(total);
+  StreamDriver::Options options;
+  options.batch_size = 4096;
+  const StreamDriver driver(options);
+  for (Sink& s : sinks) driver.Drive(readings, *s.sink);
 
   std::printf("streamed %lu items; window sizes: seq=%lu ts<=%lu ticks\n\n",
               (unsigned long)total, (unsigned long)n, (unsigned long)t0);

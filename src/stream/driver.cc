@@ -314,10 +314,6 @@ class StreamDriver::Pump {
     if (buffer_.size() >= options_.batch_size) Flush();
   }
 
-  void PushBurst(const std::vector<Item>& burst) {
-    for (const Item& item : burst) Push(item);
-  }
-
   /// Feeds a span with the same batch segmentation Push-by-one would
   /// produce, but delivers every full batch_size run as a subspan of the
   /// caller's storage — no staging copy through buffer_. Only a batch
@@ -342,11 +338,6 @@ class StreamDriver::Pump {
         if (buffer_.size() >= options_.batch_size) Flush();
       }
     }
-  }
-
-  void AdvanceTime(Timestamp now) {
-    Flush();  // keep arrival/clock order identical to unbatched feeding
-    sink_.AdvanceTime(now);
   }
 
   void Flush() {
@@ -406,27 +397,6 @@ DriveReport StreamDriver::Drive(std::span<const Item> items,
   const auto begin = Clock::now();
   Pump pump(options_, sink, &report);
   pump.PushSpan(items);
-  pump.Flush();
-  pump.FinishLatencies();
-  Finalize(begin, sink, &report);
-  return report;
-}
-
-DriveReport StreamDriver::DriveSynthetic(SyntheticStream& stream,
-                                         uint64_t steps,
-                                         StreamSink& sink) const {
-  DriveReport report;
-  const auto begin = Clock::now();
-  Pump pump(options_, sink, &report);
-  for (uint64_t step = 0; step < steps; ++step) {
-    const std::vector<Item>& burst = stream.Step();
-    if (burst.empty()) {
-      ++report.empty_steps;
-      pump.AdvanceTime(stream.now());
-    } else {
-      pump.PushBurst(burst);
-    }
-  }
   pump.Flush();
   pump.FinishLatencies();
   Finalize(begin, sink, &report);

@@ -1,8 +1,8 @@
 // Copyright (c) swsample authors. Licensed under the MIT license.
 
 /// \file
-/// Batched ingestion engine: feeds in-memory, generated or text streams
-/// through any StreamSink — a sampler or an estimator built by CreateSink
+/// Batched ingestion engine: feeds in-memory or text streams through any
+/// StreamSink — a sampler or an estimator built by CreateSink
 /// — in batches, and reports throughput and live memory. This is the one
 /// place single-threaded harness code pumps items from — benchmarks,
 /// examples and the CLI share it.
@@ -24,7 +24,7 @@
 /// Result<DriveReport> with "source:line"-prefixed messages (e.g.
 /// `events.txt:17: malformed event line (expected "<timestamp> <value>")`);
 /// unopenable and unreadable inputs fail the drive with a message naming
-/// the source; Drive/DriveSynthetic cannot fail and return plain reports.
+/// the source; Drive cannot fail and returns a plain report.
 
 #ifndef SWSAMPLE_STREAM_DRIVER_H_
 #define SWSAMPLE_STREAM_DRIVER_H_
@@ -39,7 +39,6 @@
 #include "core/api.h"
 #include "stream/checkpoint.h"
 #include "stream/item.h"
-#include "stream/stream_gen.h"
 #include "util/status.h"
 
 namespace swsample {
@@ -48,7 +47,6 @@ namespace swsample {
 struct DriveReport {
   uint64_t items = 0;            ///< arrivals delivered
   uint64_t batches = 0;          ///< ObserveBatch (or Observe-run) calls
-  uint64_t empty_steps = 0;      ///< AdvanceTime-only steps (synthetic)
   double seconds = 0.0;          ///< wall-clock ingestion time
   double items_per_sec = 0.0;    ///< items / seconds (0 when instant)
   uint64_t memory_words = 0;     ///< sink MemoryWords() after the run
@@ -85,14 +83,12 @@ class StreamDriver {
   StreamDriver() : StreamDriver(Options{}) {}
   explicit StreamDriver(const Options& options);
 
-  /// Feeds a pre-materialized run of consecutive items.
+  /// Feeds a pre-materialized run of consecutive items. Synthetic streams
+  /// are spans too: materialize them with WorkloadGenerator
+  /// (stream/workload.h). The sink's clock ends at the last item's
+  /// timestamp; a caller whose stream ends in quiet steps moves it on with
+  /// sink.AdvanceTime afterwards.
   DriveReport Drive(std::span<const Item> items, StreamSink& sink) const;
-
-  /// Steps `steps` bursts out of a synthetic stream. Empty bursts become
-  /// AdvanceTime calls (flushing any pending batch first, so the sink
-  /// observes the same arrival/clock order as unbatched feeding).
-  DriveReport DriveSynthetic(SyntheticStream& stream, uint64_t steps,
-                             StreamSink& sink) const;
 
   /// Progress callback for DriveLines: receives the stream position.
   using ProgressFn = std::function<void(uint64_t items)>;

@@ -134,9 +134,8 @@ class ShardedStreamDriver::Engine {
     QueueOf(shard).Push(std::move(msg));
   }
 
-  /// Moves every shard's clock to `now` (empty synthetic steps, and the
-  /// final clock sync so post-drive queries of timestamp sinks all see
-  /// the stream-end time).
+  /// Moves every shard's clock to `now`: the final clock sync, so
+  /// post-drive queries of timestamp sinks all see the stream-end time.
   void BroadcastAdvance(Timestamp now) {
     for (uint32_t shard = 0; shard < sinks_.size(); ++shard) {
       Msg msg;
@@ -284,9 +283,9 @@ class ShardedStreamDriver::Engine {
 
 namespace {
 
-/// Producer-side accumulator for streams that are not pre-materialized
-/// (synthetic bursts, parsed lines): buffers items into chunk_items-sized
-/// owned chunks per routing target and ships them through the engine.
+/// Producer-side accumulator for key-hash routing and for parsed lines:
+/// buffers items into chunk_items-sized owned chunks per routing target
+/// and ships them through the engine.
 class OwnedRouter {
  public:
   /// `resume` (nullable) restores the router exactly as a checkpoint
@@ -339,46 +338,27 @@ class OwnedRouter {
     }
   }
 
-  /// Empty synthetic step: deliver buffered arrivals first so every shard
-  /// observes the same arrival/clock order as unbatched feeding, then
-  /// move all clocks.
-  void AdvanceAll(Timestamp now) {
-    FlushAll();
-    last_ts_ = now;
-    engine_.BroadcastAdvance(now);
-  }
-
   /// End of stream: flush and sync every shard's clock to the last seen
   /// timestamp so post-drive queries agree on "now".
   void FinishStream() {
-    FlushAll();
+    if (options_.partition == ShardPartition::kKeyHash) {
+      for (uint32_t shard = 0; shard < pending_.size(); ++shard) {
+        FlushTarget(shard, shard);
+      }
+    } else {
+      FlushTarget(0, next_chunk_shard_);
+    }
     if (saw_items_) engine_.BroadcastAdvance(last_ts_);
   }
 
  private:
-  bool FlushTarget(size_t target, uint32_t shard) {
-    if (pending_[target].empty()) return false;
+  void FlushTarget(size_t target, uint32_t shard) {
+    if (pending_[target].empty()) return;
     saw_items_ = true;
     std::vector<Item> chunk = std::move(pending_[target]);
     pending_[target] = std::vector<Item>();
     pending_[target].reserve(options_.chunk_items);
     engine_.SendOwned(shard, std::move(chunk));
-    return true;
-  }
-
-  void FlushAll() {
-    if (options_.partition == ShardPartition::kKeyHash) {
-      for (uint32_t shard = 0; shard < pending_.size(); ++shard) {
-        FlushTarget(shard, shard);
-      }
-      return;
-    }
-    // Rotate only when a chunk actually shipped, or repeated empty steps
-    // would skip shards in the round-robin rotation.
-    if (FlushTarget(0, next_chunk_shard_)) {
-      next_chunk_shard_ =
-          static_cast<uint32_t>((next_chunk_shard_ + 1) % shards_);
-    }
   }
 
   const ShardedStreamDriver::Options& options_;
@@ -392,11 +372,9 @@ class OwnedRouter {
 
 /// Sums the per-shard reports into the wall-clock total.
 ShardedDriveReport AssembleReport(Clock::time_point begin,
-                                  std::vector<ShardReport> shards,
-                                  uint64_t empty_steps) {
+                                  std::vector<ShardReport> shards) {
   ShardedDriveReport report;
   report.shards = std::move(shards);
-  report.total.empty_steps = empty_steps;
   for (const ShardReport& shard : report.shards) {
     report.total.items += shard.items;
     report.total.batches += shard.batches;
@@ -467,30 +445,7 @@ Result<ShardedDriveReport> ShardedStreamDriver::Drive(
     for (const Item& item : items) router.Add(item);
     router.FinishStream();
   }
-  return AssembleReport(begin, engine.Finish(), /*empty_steps=*/0);
-}
-
-Result<ShardedDriveReport> ShardedStreamDriver::DriveSynthetic(
-    SyntheticStream& stream, uint64_t steps,
-    std::span<StreamSink* const> shards) const {
-  if (Status s = Validate(shards); !s.ok()) return s;
-  const auto begin = Clock::now();
-  uint64_t empty_steps = 0;
-  Engine engine(options_, shards);
-  {
-    OwnedRouter router(options_, shards.size(), engine);
-    for (uint64_t step = 0; step < steps; ++step) {
-      const std::vector<Item>& burst = stream.Step();
-      if (burst.empty()) {
-        ++empty_steps;
-        router.AdvanceAll(stream.now());
-      } else {
-        for (const Item& item : burst) router.Add(item);
-      }
-    }
-    router.FinishStream();
-  }
-  return AssembleReport(begin, engine.Finish(), empty_steps);
+  return AssembleReport(begin, engine.Finish());
 }
 
 Result<ShardedDriveReport> ShardedStreamDriver::DriveLines(
@@ -548,7 +503,7 @@ Result<ShardedDriveReport> ShardedStreamDriver::DriveLines(
   }
   if (!reader.status().ok()) return reader.status();
   router.FinishStream();
-  auto report = AssembleReport(begin, engine.Finish(), /*empty_steps=*/0);
+  auto report = AssembleReport(begin, engine.Finish());
   if (writer != nullptr) {
     report.total.io_retries = writer->io_retries();
     report.total.io_giveups = writer->io_giveups();

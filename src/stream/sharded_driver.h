@@ -42,9 +42,9 @@
 /// is the synchronization point — with MergedSnapshot (samplers) or
 /// MergedEstimate (estimators) from the layers below.
 ///
-/// Ownership: the caller owns the shard sinks (create them with the
-/// CreateSharded* helpers below) and passes raw pointers for the duration
-/// of one Drive* call. The driver owns threads and queues per call; no
+/// Ownership: the caller owns the shard sinks (create them with
+/// CreateShardedSinks in apps/sink_spec.h) and passes raw pointers for the
+/// duration of one Drive* call. The driver owns threads and queues per call; no
 /// state outlives a Drive* invocation.
 ///
 /// Thread-safety: a ShardedStreamDriver is itself stateless apart from
@@ -74,7 +74,6 @@
 #include "stream/checkpoint.h"
 #include "stream/driver.h"
 #include "stream/item.h"
-#include "stream/stream_gen.h"
 #include "util/status.h"
 
 namespace swsample {
@@ -139,15 +138,11 @@ class ShardedStreamDriver {
   /// the producer only slices spans into `items` (zero copy on the
   /// producer path — workers re-index into their own scratch buffers), so
   /// this is the scaling path bench_e16 measures. `items` must outlive
-  /// the call.
+  /// the call. Every shard's clock ends at the last item's timestamp; a
+  /// caller whose stream ends in quiet steps calls AdvanceTime on each
+  /// replica after Drive returns.
   Result<ShardedDriveReport> Drive(std::span<const Item> items,
                                    std::span<StreamSink* const> shards) const;
-
-  /// Steps `steps` bursts out of a synthetic stream. Empty bursts become
-  /// AdvanceTime broadcasts to every shard.
-  Result<ShardedDriveReport> DriveSynthetic(
-      SyntheticStream& stream, uint64_t steps,
-      std::span<StreamSink* const> shards) const;
 
   /// Feeds a text stream read by EventReader (stream/driver.h: grammar
   /// and errors there).

@@ -64,6 +64,11 @@ constexpr uint64_t kChurnPlateaus[] = {15, 16, 17, 64, 1};
 constexpr size_t kChurnPlateauCount = 5;
 constexpr size_t kChurnGapCount = 4;  // {1, t-1, t, t+1}
 
+// Caps on the spec values that size allocations: the Zipf CDF table holds
+// one double per domain value and the dup ring one value per lag step.
+constexpr uint64_t kMaxZipfDomain = uint64_t{1} << 24;
+constexpr uint64_t kMaxDupLag = uint64_t{1} << 20;
+
 }  // namespace
 
 Result<WorkloadSpec> ParseWorkloadSpec(std::string_view text) {
@@ -244,6 +249,10 @@ Result<std::unique_ptr<WorkloadGenerator>> WorkloadGenerator::Create(
   if (spec.domain < 1) {
     return Status::InvalidArgument("workload: domain must be >= 1");
   }
+  if (spec.values == WorkloadValues::kZipf && spec.domain > kMaxZipfDomain) {
+    return Status::InvalidArgument(
+        "workload: zipf domain must be <= 2^24 (one CDF entry per value)");
+  }
   if (!(spec.alpha >= 0.0) || !std::isfinite(spec.alpha)) {
     return Status::InvalidArgument("workload: alpha must be finite, >= 0");
   }
@@ -259,6 +268,9 @@ Result<std::unique_ptr<WorkloadGenerator>> WorkloadGenerator::Create(
   if (spec.dup > 0.0 && spec.dup_lag < 1) {
     return Status::InvalidArgument("workload: duplag must be >= 1");
   }
+  if (spec.dup_lag > kMaxDupLag) {
+    return Status::InvalidArgument("workload: duplag must be <= 2^20");
+  }
   return std::unique_ptr<WorkloadGenerator>(new WorkloadGenerator(spec, seed));
 }
 
@@ -272,8 +284,7 @@ Result<std::unique_ptr<WorkloadGenerator>> WorkloadGenerator::Create(
 WorkloadGenerator::WorkloadGenerator(const WorkloadSpec& spec, uint64_t seed)
     : spec_(spec), rng_(seed) {
   if (spec_.values == WorkloadValues::kZipf) {
-    // Same inverse-CDF table as ZipfValues (value_gen.cc); built here so
-    // the generator is one self-contained seeded object.
+    // Inverse-CDF table: zipf_cdf_[i] = P(v <= i), searched per draw.
     zipf_cdf_.resize(spec_.domain);
     double acc = 0.0;
     for (uint64_t i = 0; i < spec_.domain; ++i) {

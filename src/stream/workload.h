@@ -30,15 +30,17 @@
 // Spec grammar (mirrors SinkSpec): `<arrivals>[@<values>][,key=value]...`
 //
 //   constant            rate=R (items per step, default 4)
-//   poisson             lambda=L (default 4)
+//   poisson             lambda=L (default 4; Knuth's product method up
+//                       to 30, a rounded normal approximation above)
 //   bmodel              bias=B (default 0.7), levels=V (default 10),
 //                       volume=N (items per epoch, default 4096)
 //   churn               t=T0 (target window parameter, default 64)
-//   @uniform|@zipf|@seq domain=M (default 1024), alpha=A (zipf, default 1.1)
+//   @uniform|@zipf|@seq domain=M (default 1024; zipf at most 2^24),
+//                       alpha=A (zipf, default 1.1)
 //   any                 skew=S (max backward ts jitter, default 0 = off),
 //                       skewp=P (probability an item is jittered, 0.25),
 //                       dup=P (replay probability, default 0 = off),
-//                       duplag=K (replay reach, default 64)
+//                       duplag=K (replay reach, default 64, at most 2^20)
 //
 // Examples: "poisson@zipf,lambda=16,alpha=1.3", "churn,t=128,skew=32",
 // "bmodel@uniform,bias=0.8,dup=0.05".

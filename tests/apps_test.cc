@@ -17,9 +17,9 @@
 #include "apps/triangles.h"
 #include "stats/exact.h"
 #include "stats/tests.h"
-#include "stream/value_gen.h"
 #include "test_sinks.h"
 #include "util/rng.h"
+#include "workload_steps.h"
 
 namespace swsample {
 namespace {
@@ -39,10 +39,12 @@ double RunOnStream(WindowEstimator& est, const std::vector<uint64_t>& values,
 
 std::vector<uint64_t> ZipfStream(uint64_t len, uint64_t domain, double alpha,
                                  uint64_t seed) {
-  auto gen = ZipfValues::Create(domain, alpha).ValueOrDie();
-  Rng rng(seed);
-  std::vector<uint64_t> values(len);
-  for (auto& v : values) v = gen->Next(rng);
+  auto gen = WorkloadGenerator::Create(ZipfPerStepSpec(domain, alpha), seed)
+                 .ValueOrDie();
+  std::vector<uint64_t> values;
+  for (const Item& item : gen->Take(len)) {
+    values.push_back(item.value);
+  }
   return values;
 }
 

@@ -22,11 +22,9 @@
 #include <gtest/gtest.h>
 
 #include "stats/tests.h"
-#include "stream/arrival.h"
 #include "stream/driver.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
 #include "test_sinks.h"
+#include "workload_steps.h"
 
 namespace swsample {
 namespace {
@@ -397,10 +395,10 @@ TEST(EstimatorDriverTest, DriverPumpsEveryEstimator) {
   }
 }
 
-TEST(EstimatorDriverTest, SyntheticStreamAdvancesEstimatorClock) {
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 10).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(0.2)).ValueOrDie(), 42);
+TEST(EstimatorDriverTest, AdvanceTimeAfterDriveMovesEstimatorClock) {
+  // A sparse Poisson stream: most steps are quiet, and Drive moves the
+  // clock only with the items, so the caller advances it to the last step.
+  WorkloadSteps stream("poisson@uniform,lambda=0.2,domain=1024", 42, 2000);
   SinkSpec config;
   config.name = "window-count";
   config.substrate = "bop-ts-single";
@@ -410,10 +408,10 @@ TEST(EstimatorDriverTest, SyntheticStreamAdvancesEstimatorClock) {
   auto est = MakeEstimator(config).ValueOrDie();
   StreamDriver::Options options;
   options.batch_size = 32;
-  DriveReport report =
-      StreamDriver(options).DriveSynthetic(stream, 2000, *est);
+  DriveReport report = StreamDriver(options).Drive(stream.items(), *est);
+  est->AdvanceTime(1999);
   EXPECT_GT(report.items, 0u);
-  EXPECT_GT(report.empty_steps, 0u);
+  EXPECT_GT(stream.QuietSteps(), 0u);
   // After the drive the DGIM count must reflect only the last 10 ticks —
   // a loose sanity band around the Poisson(0.2)/tick rate.
   EXPECT_LT(est->Estimate().value, 40.0);

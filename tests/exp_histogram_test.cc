@@ -15,13 +15,11 @@
 
 #include <gtest/gtest.h>
 
-#include "stream/arrival.h"
 #include "stream/exp_histogram.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
 #include "util/bits.h"
 #include "util/rng.h"
 #include "util/serial.h"
+#include "workload_steps.h"
 
 namespace swsample {
 namespace {
@@ -55,9 +53,7 @@ TEST(ExpHistogramTest, AllExpire) {
 void CheckRelativeError(double eps, double lambda, Timestamp t0,
                         uint64_t seed) {
   auto h = ExpHistogram::Create(t0, eps).ValueOrDie();
-  auto stream = SyntheticStream(
-      UniformValues::Create(16).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(lambda)).ValueOrDie(), seed);
+  WorkloadSteps stream(PoissonUniformSpec(lambda, 16), seed, 6 * t0);
   std::deque<Timestamp> exact;  // timestamps of active arrivals
   for (Timestamp t = 0; t < 6 * t0; ++t) {
     for (const Item& item : stream.Step()) {

@@ -36,11 +36,11 @@
 #include "stream/checkpoint.h"
 #include "stream/driver.h"
 #include "stream/keyed_engine.h"
-#include "stream/value_gen.h"
 #include "util/failpoint.h"
 #include "util/file_ops.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "workload_steps.h"
 
 namespace swsample {
 namespace {
@@ -258,12 +258,14 @@ KeyedEngineOptions ShedOptions(const std::string& dir) {
 /// adversarial workloads of the stress matrix use.
 void DriveZipf(KeyedWindowEngine& engine, uint64_t items, uint64_t domain,
                uint64_t seed, uint64_t budget_or_zero) {
-  auto zipf = ZipfValues::Create(domain, 1.2).ValueOrDie();
-  Rng rng(seed);
-  for (uint64_t i = 0; i < items; ++i) {
-    engine.Observe(Item{zipf->Next(rng), i, static_cast<Timestamp>(i)});
+  auto zipf =
+      WorkloadGenerator::Create(ZipfPerStepSpec(domain, 1.2), seed)
+          .ValueOrDie();
+  for (const Item& item : zipf->Take(items)) {
+    engine.Observe(item);
     if (budget_or_zero != 0) {
-      ASSERT_LE(engine.ChargedBytes(), budget_or_zero) << "item " << i;
+      ASSERT_LE(engine.ChargedBytes(), budget_or_zero) << "item "
+                                                       << item.index;
     }
   }
 }
@@ -463,11 +465,14 @@ TEST_F(FaultInjectionTest, BlockModeLatchesOnAPermanentOutage) {
   // Fail-stop mode keeps re-attempting the blocked eviction on every
   // arrival, so stop shortly after the latch instead of grinding through
   // the whole stream.
-  auto zipf = ZipfValues::Create(4000, 1.2).ValueOrDie();
-  Rng rng(11);
+  const std::vector<Item> items =
+      WorkloadGenerator::Create("constant@zipf,rate=1,domain=4000,alpha=1.2",
+                                11)
+          .ValueOrDie()
+          ->Take(20000);
   uint64_t post_latch = 0;
-  for (uint64_t i = 0; i < 20000 && post_latch < 64; ++i) {
-    engine->Observe(Item{zipf->Next(rng), i, static_cast<Timestamp>(i)});
+  for (size_t i = 0; i < items.size() && post_latch < 64; ++i) {
+    engine->Observe(items[i]);
     if (!engine->status().ok()) ++post_latch;
   }
   EXPECT_FALSE(engine->status().ok());

@@ -17,10 +17,8 @@
 
 #include "baseline/exact_window.h"
 #include "stats/tests.h"
-#include "stream/arrival.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
 #include "test_sinks.h"
+#include "workload_steps.h"
 
 namespace swsample {
 namespace {
@@ -28,9 +26,7 @@ namespace {
 // Every registered sampler's output must lie inside the exact window at
 // all times, under a bursty timestamped stream with silent gaps.
 TEST(IntegrationTest, AllRegisteredSamplersAgreeWithOracleOnMembership) {
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 16).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(2.0)).ValueOrDie(), 99);
+  WorkloadSteps stream("poisson@uniform,lambda=2,domain=65536", 99, 1500);
   const Timestamp t0 = 20;
   const uint64_t seq_n = 64, k = 4;
 
@@ -191,9 +187,8 @@ TEST(IntegrationTest, SingleLevelBiasedMeanTracksWindowedMean) {
 // End-to-end determinism: identical seeds yield identical sample streams.
 TEST(IntegrationTest, FullyDeterministic) {
   auto run = [] {
-    auto stream = SyntheticStream(
-        ZipfValues::Create(100, 1.1).ValueOrDie(),
-        std::move(PoissonBurstArrivals::Create(1.7)).ValueOrDie(), 21);
+    WorkloadSteps stream("poisson@zipf,lambda=1.7,domain=100,alpha=1.1", 21,
+                         300);
     SinkSpec config;
     config.name = "bop-ts-swor";
     config.window_t = 9;

@@ -23,7 +23,6 @@
 #include "stats/tests.h"
 #include "stream/keyed_engine.h"
 #include "stream/sharded_driver.h"
-#include "stream/value_gen.h"
 #include "stream/workload.h"
 #include "util/rng.h"
 
@@ -157,7 +156,6 @@ TEST(KeyedEngineTest, EvictDeathRestoreIsBitIdenticalToUninterrupted) {
 }
 
 TEST(KeyedEngineTest, BudgetNeverExceededUnderZipfianSkew) {
-  constexpr uint64_t kDomain = 20000;
   constexpr uint64_t kItems = 30000;
   constexpr uint64_t kBudget = 192 * 1024;
   const std::string dir = FreshDir("keyed_budget_dir");
@@ -168,12 +166,14 @@ TEST(KeyedEngineTest, BudgetNeverExceededUnderZipfianSkew) {
   options.spill_dir = dir;
   auto engine = KeyedWindowEngine::Create(options).ValueOrDie();
 
-  auto zipf = ZipfValues::Create(kDomain, 1.1).ValueOrDie();
-  Rng rng(17);
-  for (uint64_t i = 0; i < kItems; ++i) {
-    engine->Observe(
-        Item{zipf->Next(rng), i, static_cast<Timestamp>(i)});
-    ASSERT_LE(engine->ChargedBytes(), kBudget) << "item " << i;
+  const std::vector<Item> items =
+      WorkloadGenerator::Create("constant@zipf,rate=1,domain=20000,alpha=1.1",
+                                17)
+          .ValueOrDie()
+          ->Take(kItems);
+  for (const Item& item : items) {
+    engine->Observe(item);
+    ASSERT_LE(engine->ChargedBytes(), kBudget) << "item " << item.index;
   }
   ASSERT_TRUE(engine->status().ok()) << engine->status().ToString();
   EXPECT_GT(engine->stats().evictions, 0u);  // the budget actually bound

@@ -21,10 +21,8 @@
 #include "core/ts_swor.h"
 #include "core/ts_swr.h"
 #include "stats/tests.h"
-#include "stream/arrival.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
 #include "util/bits.h"
+#include "workload_steps.h"
 
 namespace swsample {
 namespace {
@@ -108,10 +106,8 @@ class TsSweep
 
 TEST_P(TsSweep, SwrInvariantsHoldEverywhere) {
   const auto [t0, k, lambda] = GetParam();
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 16).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(lambda)).ValueOrDie(),
-      static_cast<uint64_t>(t0) * 100 + k);
+  WorkloadSteps stream(PoissonUniformSpec(lambda, 1 << 16),
+                       static_cast<uint64_t>(t0) * 100 + k, 400);
   auto s = TsSwrSampler::Create(t0, k, k * 17 + 5).ValueOrDie();
   uint64_t active = 0;
   uint64_t max_active = 0;
@@ -148,10 +144,8 @@ TEST_P(TsSweep, SwrInvariantsHoldEverywhere) {
 
 TEST_P(TsSweep, SworInvariantsHoldEverywhere) {
   const auto [t0, k, lambda] = GetParam();
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 16).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(lambda)).ValueOrDie(),
-      static_cast<uint64_t>(t0) * 131 + k);
+  WorkloadSteps stream(PoissonUniformSpec(lambda, 1 << 16),
+                       static_cast<uint64_t>(t0) * 131 + k, 400);
   auto s = TsSworSampler::Create(t0, k, k * 13 + 3).ValueOrDie();
   std::vector<Item> window;
   for (Timestamp t = 0; t < 400; ++t) {

@@ -18,11 +18,9 @@
 
 #include "stat_check.h"
 #include "stats/tests.h"
-#include "stream/arrival.h"
 #include "stream/driver.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
 #include "test_sinks.h"
+#include "workload_steps.h"
 
 namespace swsample {
 namespace {
@@ -222,12 +220,11 @@ TEST(RegistryTest, DriverDeliversEveryItemToEveryRegisteredSampler) {
   }
 }
 
-TEST(RegistryTest, DriverAdvancesClockOnEmptySyntheticSteps) {
-  // A sparse Poisson stream has many empty steps; the driver must turn
-  // them into AdvanceTime calls so timestamp samplers expire correctly.
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 10).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(0.2)).ValueOrDie(), 42);
+TEST(RegistryTest, AdvanceTimeAfterDriveExpiresQuietSteps) {
+  // A sparse Poisson stream has many quiet steps. Drive moves the clock
+  // only with the items, so the caller advances it to the last step and
+  // timestamp samplers expire correctly.
+  WorkloadSteps stream("poisson@uniform,lambda=0.2,domain=1024", 42, 2000);
   SinkSpec config;
   config.name = "bop-ts-swr";
   config.window_t = 10;
@@ -237,14 +234,16 @@ TEST(RegistryTest, DriverAdvancesClockOnEmptySyntheticSteps) {
   StreamDriver::Options options;
   options.batch_size = 32;
   DriveReport report =
-      StreamDriver(options).DriveSynthetic(stream, 2000, *sampler);
+      StreamDriver(options).Drive(stream.items(), *sampler);
+  const Timestamp now = 1999;
+  sampler->AdvanceTime(now);
   EXPECT_GT(report.items, 0u);
-  EXPECT_GT(report.empty_steps, 0u);
-  EXPECT_EQ(report.items, stream.total_items());
+  EXPECT_GT(stream.QuietSteps(), 0u);
+  EXPECT_EQ(report.items, stream.items().size());
   // After the drive, any sample must be within the window of the final
   // clock position.
   for (const Item& item : sampler->Sample()) {
-    EXPECT_GT(item.timestamp, stream.now() - 10);
+    EXPECT_GT(item.timestamp, now - 10);
   }
 }
 

@@ -19,11 +19,9 @@
 #include "core/checkpoint.h"
 #include "core/ts_single.h"
 #include "reservoir/reservoir.h"
-#include "stream/arrival.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
 #include "test_sinks.h"
 #include "util/serial.h"
+#include "workload_steps.h"
 
 namespace swsample {
 namespace {
@@ -157,9 +155,7 @@ void CheckResumedEquivalence(const std::string& name, SinkSpec config,
                              bool timestamped) {
   config.name = name;
   auto original = MakeSampler(config).ValueOrDie();
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 16).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(2.5)).ValueOrDie(), 99);
+  WorkloadSteps stream("poisson@uniform,lambda=2.5,domain=65536", 99, 500);
   // Warm-up phase.
   for (Timestamp t = 0; t < 200; ++t) {
     for (const Item& item : stream.Step()) original->Observe(item);
@@ -223,9 +219,7 @@ TEST(SerialTest, TsSworResumesExactly) {
 
 TEST(SerialTest, TsSingleRoundTripPreservesInvariants) {
   auto original = TsSingleSampler::Create(17, 11).ValueOrDie();
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 10).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(3.0)).ValueOrDie(), 12);
+  WorkloadSteps stream("poisson@uniform,lambda=3,domain=1024", 12, 300);
   for (Timestamp t = 0; t < 300; ++t) {
     for (const Item& item : stream.Step()) original.Observe(item);
   }

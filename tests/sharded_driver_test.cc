@@ -21,11 +21,9 @@
 #include "baseline/exact_window.h"
 #include "core/api.h"
 #include "stats/tests.h"
-#include "stream/arrival.h"
 #include "stream/sharded_driver.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
 #include "test_sinks.h"
+#include "workload_steps.h"
 
 namespace swsample {
 namespace {
@@ -333,29 +331,19 @@ TEST(ShardedEstimatorTest, MergeCapabilityMatrix) {
   }
 }
 
-// Timestamp windows with bursts and quiet steps through DriveSynthetic:
-// merged DGIM counts stay within the (1 +/- eps) envelope of the exact
-// oracle count, and AdvanceTime broadcasts keep expiry moving on empty
-// steps.
-TEST(ShardedDriverTest, SyntheticTimestampCountsTrackExact) {
-  auto make_stream = [] {
-    return SyntheticStream(UniformValues::Create(1 << 16).ValueOrDie(),
-                           PoissonBurstArrivals::Create(4.0).ValueOrDie(),
-                           /*seed=*/77);
-  };
-  constexpr uint64_t kSteps = 4000;
+// Timestamp windows with bursts and quiet steps: merged DGIM counts stay
+// within the (1 +/- eps) envelope of the exact oracle count, and an
+// AdvanceTime on every replica after the drive moves expiry to the last
+// step.
+TEST(ShardedDriverTest, GeneratedTimestampCountsTrackExact) {
+  constexpr Timestamp kSteps = 4000;
   constexpr Timestamp kT0 = 500;
+  WorkloadSteps stream("poisson@uniform,lambda=4,domain=65536", /*seed=*/77,
+                       kSteps);
 
-  auto exact = make_stream();
   auto oracle = ExactWindow::CreateTimestamp(kT0, 1, true, 1).ValueOrDie();
-  for (uint64_t step = 0; step < kSteps; ++step) {
-    const std::vector<Item>& burst = exact.Step();
-    if (burst.empty()) {
-      oracle->AdvanceTime(exact.now());
-    } else {
-      for (const Item& item : burst) oracle->Observe(item);
-    }
-  }
+  for (const Item& item : stream.items()) oracle->Observe(item);
+  oracle->AdvanceTime(kSteps - 1);
 
   SinkSpec config;
   config.name = "window-count";
@@ -366,13 +354,13 @@ TEST(ShardedDriverTest, SyntheticTimestampCountsTrackExact) {
   auto replicas =
       CreateShardedSinks(config, 4).ValueOrDie();
   auto sinks = SinkPointers(replicas);
-  auto stream = make_stream();
   auto report =
       ShardedStreamDriver(SmallChunkOptions(4, ShardPartition::kKeyHash))
-          .DriveSynthetic(stream, kSteps, sinks)
+          .Drive(stream.items(), sinks)
           .ValueOrDie();
+  for (StreamSink* sink : sinks) sink->AdvanceTime(kSteps - 1);
   EXPECT_GT(report.total.items, 0u);
-  EXPECT_GT(report.total.empty_steps, 0u);
+  EXPECT_GT(stream.QuietSteps(), 0u);
 
   auto merged = MergedEstimate(EstimatorPointers(replicas).ValueOrDie()).ValueOrDie();
   const double exact_count = static_cast<double>(oracle->size());

@@ -1,183 +1,152 @@
 // Copyright (c) swsample authors. Licensed under the MIT license.
 //
-// Unit tests for the stream substrate: value generators, arrival processes
-// and the composed SyntheticStream.
+// Unit tests for the stream substrate: the workload generator's draw order
+// and distributions, and the drivers' text ingestion (EventReader).
 
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <memory>
+#include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "stream/arrival.h"
 #include "stream/driver.h"
 #include "stream/sharded_driver.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 #include "test_sinks.h"
 #include "util/rng.h"
 #include "util/serial.h"
+#include "workload_steps.h"
 
 namespace swsample {
 namespace {
 
-TEST(UniformValuesTest, RejectsEmptyDomain) {
-  EXPECT_FALSE(UniformValues::Create(0).ok());
+// --- WorkloadGenerator: draw order and distributions ----------------------
+
+/// FNV-1a over each item's value, index and timestamp, 8 little-endian
+/// bytes each.
+uint64_t Fnv1a(std::span<const Item> items) {
+  uint64_t hash = 14695981039346656037ull;
+  for (const Item& item : items) {
+    for (uint64_t word : {item.value, item.index,
+                          static_cast<uint64_t>(item.timestamp)}) {
+      for (int byte = 0; byte < 8; ++byte) {
+        hash ^= (word >> (8 * byte)) & 0xff;
+        hash *= 1099511628211ull;
+      }
+    }
+  }
+  return hash;
 }
 
-TEST(UniformValuesTest, StaysInDomain) {
-  auto gen = UniformValues::Create(10).ValueOrDie();
-  Rng rng(1);
-  for (int i = 0; i < 10000; ++i) EXPECT_LT(gen->Next(rng), 10u);
+/// The values of the first `count` items of `spec` at `seed`.
+std::vector<uint64_t> Values(std::string_view spec, uint64_t seed,
+                             uint64_t count) {
+  std::vector<uint64_t> values;
+  for (const Item& item :
+       WorkloadGenerator::Create(spec, seed).ValueOrDie()->Take(count)) {
+    values.push_back(item.value);
+  }
+  return values;
 }
 
-TEST(UniformValuesTest, CoversDomain) {
-  auto gen = UniformValues::Create(8).ValueOrDie();
-  Rng rng(2);
+TEST(WorkloadGeneratorTest, StreamsArePinned) {
+  // Every seeded test depends on this draw order: a burst size, then one
+  // value per item of the burst, all from the one seeded Rng.
+  struct Pinned {
+    const char* spec;
+    uint64_t digest;  // of the first 10,000 items at seed 99
+  };
+  const Pinned kPinned[] = {
+      {"poisson@uniform,lambda=2.5,domain=65536", 0xcd40f02e2a997a0dull},
+      // lambda > 30: the normal-approximation branch.
+      {"poisson@uniform,lambda=64,domain=1048576", 0x5c0f8cbb00bfff87ull},
+      {"poisson@zipf,lambda=1.7,domain=100,alpha=1.1", 0xd187875192643cf2ull},
+      {"constant@zipf,rate=4,domain=1000,alpha=1.1", 0xb85a1febbd4d1f2bull},
+  };
+  for (const Pinned& pinned : kPinned) {
+    auto items =
+        WorkloadGenerator::Create(pinned.spec, 99).ValueOrDie()->Take(10000);
+    EXPECT_EQ(Fnv1a(items), pinned.digest) << pinned.spec;
+  }
+}
+
+TEST(WorkloadGeneratorTest, ConstantRateStampsConsecutiveItems) {
+  auto items = WorkloadGenerator::Create("constant,rate=3,domain=100", 12)
+                   .ValueOrDie()
+                   ->Take(150);
+  for (uint64_t i = 0; i < items.size(); ++i) {
+    EXPECT_EQ(items[i].index, i);
+    EXPECT_EQ(items[i].timestamp, static_cast<Timestamp>(i / 3));
+    EXPECT_LT(items[i].value, 100u);
+  }
+}
+
+TEST(WorkloadGeneratorTest, UniformStaysInAndCoversDomain) {
+  for (uint64_t v : Values("constant,domain=10", 1, 10000)) EXPECT_LT(v, 10u);
   std::vector<uint64_t> counts(8, 0);
-  for (int i = 0; i < 8000; ++i) ++counts[gen->Next(rng)];
+  for (uint64_t v : Values("constant,domain=8", 2, 8000)) ++counts[v];
   for (uint64_t c : counts) EXPECT_GT(c, 800u);
 }
 
-TEST(ZipfValuesTest, RejectsBadParams) {
-  EXPECT_FALSE(ZipfValues::Create(0, 1.0).ok());
-  EXPECT_FALSE(ZipfValues::Create(10, -1.0).ok());
-}
-
-TEST(ZipfValuesTest, SkewFavorsSmallValues) {
-  auto gen = ZipfValues::Create(100, 1.2).ValueOrDie();
-  Rng rng(3);
+TEST(WorkloadGeneratorTest, ZipfSkewFavorsSmallValues) {
   std::vector<uint64_t> counts(100, 0);
-  for (int i = 0; i < 100000; ++i) ++counts[gen->Next(rng)];
+  for (uint64_t v : Values("constant@zipf,domain=100,alpha=1.2", 3, 100000)) {
+    ++counts[v];
+  }
   // Head value must dominate the tail value heavily under alpha=1.2.
   EXPECT_GT(counts[0], 10 * counts[50] / 2);
   EXPECT_GT(counts[0], counts[1]);
 }
 
-TEST(ZipfValuesTest, AlphaZeroIsUniform) {
-  auto gen = ZipfValues::Create(16, 0.0).ValueOrDie();
-  Rng rng(4);
+TEST(WorkloadGeneratorTest, ZipfAlphaZeroIsUniform) {
   std::vector<uint64_t> counts(16, 0);
-  for (int i = 0; i < 64000; ++i) ++counts[gen->Next(rng)];
+  for (uint64_t v : Values("constant@zipf,domain=16,alpha=0", 4, 64000)) {
+    ++counts[v];
+  }
   for (uint64_t c : counts) {
     EXPECT_GT(c, 3000u);
     EXPECT_LT(c, 5000u);
   }
 }
 
-TEST(ZipfValuesTest, FrequencyMatchesTheory) {
-  const double alpha = 1.0;
-  auto gen = ZipfValues::Create(50, alpha).ValueOrDie();
-  Rng rng(5);
+TEST(WorkloadGeneratorTest, ZipfFrequencyMatchesTheory) {
   const int trials = 200000;
   uint64_t head = 0;
-  for (int i = 0; i < trials; ++i) head += (gen->Next(rng) == 0);
+  for (uint64_t v : Values("constant@zipf,domain=50,alpha=1", 5, trials)) {
+    head += (v == 0);
+  }
   double harmonic = 0.0;
   for (int i = 1; i <= 50; ++i) harmonic += 1.0 / i;
   EXPECT_NEAR(static_cast<double>(head) / trials, 1.0 / harmonic, 0.01);
 }
 
-TEST(SequentialValuesTest, RoundRobin) {
-  auto gen = SequentialValues::Create(3).ValueOrDie();
-  Rng rng(6);
-  std::vector<uint64_t> seen;
-  for (int i = 0; i < 7; ++i) seen.push_back(gen->Next(rng));
-  EXPECT_EQ(seen, (std::vector<uint64_t>{0, 1, 2, 0, 1, 2, 0}));
+TEST(WorkloadGeneratorTest, SeqIsRoundRobin) {
+  EXPECT_EQ(Values("constant@seq,domain=3", 6, 7),
+            (std::vector<uint64_t>{0, 1, 2, 0, 1, 2, 0}));
 }
 
-TEST(ConstantRateArrivalsTest, ExactCount) {
-  ConstantRateArrivals arrivals(5);
-  Rng rng(7);
-  for (Timestamp t = 0; t < 100; ++t) EXPECT_EQ(arrivals.CountAt(t, rng), 5u);
+TEST(WorkloadGeneratorTest, PoissonMeanMatchesLambda) {
+  // lambda <= 30 takes Knuth's product method, larger lambda the normal
+  // approximation.
+  const WorkloadSteps small("poisson,lambda=4", 8, 50000);
+  EXPECT_NEAR(static_cast<double>(small.items().size()) / 50000, 4.0, 0.1);
+  const WorkloadSteps large("poisson,lambda=100", 9, 20000);
+  EXPECT_NEAR(static_cast<double>(large.items().size()) / 20000, 100.0, 1.0);
 }
 
-TEST(PoissonBurstArrivalsTest, RejectsBadLambda) {
-  EXPECT_FALSE(PoissonBurstArrivals::Create(0.0).ok());
-  EXPECT_FALSE(PoissonBurstArrivals::Create(-3.0).ok());
-}
-
-TEST(PoissonBurstArrivalsTest, MeanMatchesLambdaSmall) {
-  auto arrivals = PoissonBurstArrivals::Create(4.0).ValueOrDie();
-  Rng rng(8);
-  uint64_t total = 0;
-  const int steps = 50000;
-  for (int t = 0; t < steps; ++t) total += arrivals->CountAt(t, rng);
-  EXPECT_NEAR(static_cast<double>(total) / steps, 4.0, 0.1);
-}
-
-TEST(PoissonBurstArrivalsTest, MeanMatchesLambdaLarge) {
-  auto arrivals = PoissonBurstArrivals::Create(100.0).ValueOrDie();
-  Rng rng(9);
-  uint64_t total = 0;
-  const int steps = 20000;
-  for (int t = 0; t < steps; ++t) total += arrivals->CountAt(t, rng);
-  EXPECT_NEAR(static_cast<double>(total) / steps, 100.0, 1.0);
-}
-
-TEST(DoublingBurstArrivalsTest, RejectsBadParams) {
-  EXPECT_FALSE(DoublingBurstArrivals::Create(0, 10).ok());
-  EXPECT_FALSE(DoublingBurstArrivals::Create(31, 10).ok());
-  EXPECT_FALSE(DoublingBurstArrivals::Create(5, 0).ok());
-}
-
-TEST(DoublingBurstArrivalsTest, DoublingShape) {
-  auto arrivals =
-      DoublingBurstArrivals::Create(/*t0=*/4, /*max_burst=*/1 << 20)
-          .ValueOrDie();
-  Rng rng(10);
-  // 2^(2*4 - t) for t <= 8, then 1.
-  EXPECT_EQ(arrivals->CountAt(0, rng), 256u);
-  EXPECT_EQ(arrivals->CountAt(1, rng), 128u);
-  EXPECT_EQ(arrivals->CountAt(8, rng), 1u);
-  EXPECT_EQ(arrivals->CountAt(9, rng), 1u);
-  EXPECT_EQ(arrivals->CountAt(100, rng), 1u);
-}
-
-TEST(DoublingBurstArrivalsTest, CapsAtMaxBurst) {
-  auto arrivals =
-      DoublingBurstArrivals::Create(/*t0=*/10, /*max_burst=*/64).ValueOrDie();
-  Rng rng(11);
-  EXPECT_EQ(arrivals->CountAt(0, rng), 64u);   // 2^20 capped
-  EXPECT_EQ(arrivals->CountAt(14, rng), 64u);  // 2^6 == 64
-  EXPECT_EQ(arrivals->CountAt(15, rng), 32u);
-}
-
-TEST(SyntheticStreamTest, IndicesAndTimestampsConsistent) {
-  auto stream = SyntheticStream(
-      UniformValues::Create(100).ValueOrDie(),
-      std::make_unique<ConstantRateArrivals>(3), /*seed=*/12);
-  StreamIndex expect_index = 0;
-  for (Timestamp t = 0; t < 50; ++t) {
-    const auto& burst = stream.Step();
-    EXPECT_EQ(stream.now(), t);
-    ASSERT_EQ(burst.size(), 3u);
-    for (const Item& item : burst) {
-      EXPECT_EQ(item.index, expect_index++);
-      EXPECT_EQ(item.timestamp, t);
-      EXPECT_LT(item.value, 100u);
-    }
+TEST(WorkloadGeneratorTest, SparsePoissonLeavesQuietSteps) {
+  // Poisson with tiny lambda leaves most steps empty; the clock keeps
+  // moving and indices stay contiguous.
+  const WorkloadSteps stream("poisson,lambda=0.2,domain=10", 13, 2000);
+  for (uint64_t i = 0; i < stream.items().size(); ++i) {
+    EXPECT_EQ(stream.items()[i].index, i);
   }
-  EXPECT_EQ(stream.total_items(), 150u);
-}
-
-TEST(SyntheticStreamTest, EmptyStepsAreLegal) {
-  // Poisson with tiny lambda produces many empty steps; the stream must
-  // keep the clock moving and indices contiguous.
-  auto stream = SyntheticStream(UniformValues::Create(10).ValueOrDie(),
-                                std::move(PoissonBurstArrivals::Create(0.2))
-                                    .ValueOrDie(),
-                                /*seed=*/13);
-  StreamIndex expect_index = 0;
-  int empty_steps = 0;
-  for (Timestamp t = 0; t < 2000; ++t) {
-    const auto& burst = stream.Step();
-    if (burst.empty()) ++empty_steps;
-    for (const Item& item : burst) EXPECT_EQ(item.index, expect_index++);
-  }
-  EXPECT_GT(empty_steps, 1000);  // e^-0.2 ~ 0.82 of steps are empty
+  EXPECT_GT(stream.QuietSteps(), 1000u);  // e^-0.2 ~ 0.82 of steps are empty
 }
 
 // --- DriveFile (block reads) vs DriveBuffer (one in-memory block) --------

@@ -25,7 +25,7 @@
 #include "apps/payload_substrate.h"
 #include "stat_check.h"
 #include "stats/exact.h"
-#include "stream/value_gen.h"
+#include "stream/workload.h"
 #include "test_sinks.h"
 #include "util/rng.h"
 
@@ -387,14 +387,16 @@ TEST(TsEntropyEstimatorTest, CloseToExactOnZipfWindow) {
   const Timestamp t0 = 512;
   auto est =
       MakeEstimator(TsConfig("ccm-entropy", t0, 2500, 0.05, 3)).ValueOrDie();
-  auto gen = ZipfValues::Create(32, 1.0).ValueOrDie();
+  auto gen =
+      WorkloadGenerator::Create("constant@zipf,rate=1,domain=32,alpha=1", 4)
+          .ValueOrDie();
   Rng rng(4);
   std::deque<std::pair<Timestamp, uint64_t>> window;
   uint64_t index = 0;
   for (Timestamp t = 0; t < 3 * t0; ++t) {
     const uint64_t burst = 1 + rng.UniformIndex(3);
     for (uint64_t i = 0; i < burst; ++i) {
-      const uint64_t v = gen->Next(rng);
+      const uint64_t v = gen->Take(1)[0].value;
       est->Observe(Item{v, index++, t});
       window.emplace_back(t, v);
     }
@@ -413,14 +415,16 @@ TEST(TsFkEstimatorTest, F2CloseToExactOnSkewedWindow) {
   const Timestamp t0 = 512;
   auto est =
       MakeEstimator(TsConfig("ams-fk", t0, 1500, 0.05, 5)).ValueOrDie();
-  auto gen = ZipfValues::Create(8, 1.4).ValueOrDie();
+  auto gen =
+      WorkloadGenerator::Create("constant@zipf,rate=1,domain=8,alpha=1.4", 6)
+          .ValueOrDie();
   Rng rng(6);
   std::deque<std::pair<Timestamp, uint64_t>> window;
   uint64_t index = 0;
   for (Timestamp t = 0; t < 3 * t0; ++t) {
     const uint64_t burst = 1 + rng.UniformIndex(3);
     for (uint64_t i = 0; i < burst; ++i) {
-      const uint64_t v = gen->Next(rng);
+      const uint64_t v = gen->Take(1)[0].value;
       est->Observe(Item{v, index++, t});
       window.emplace_back(t, v);
     }

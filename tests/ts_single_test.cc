@@ -14,10 +14,8 @@
 
 #include "core/ts_single.h"
 #include "stats/tests.h"
-#include "stream/arrival.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
 #include "util/bits.h"
+#include "workload_steps.h"
 
 namespace swsample {
 namespace {
@@ -75,9 +73,7 @@ TEST(TsSingleTest, PreExpiredInsertIsSkipped) {
 
 TEST(TsSingleTest, SampleAlwaysActive) {
   // Long bursty run: every query must return an element inside the window.
-  auto stream = SyntheticStream(
-      UniformValues::Create(1000).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(3.0)).ValueOrDie(), 42);
+  WorkloadSteps stream("poisson@uniform,lambda=3,domain=1000", 42, 3000);
   const Timestamp t0 = 25;
   auto s = TsSingleSampler::Create(t0, 6).ValueOrDie();
   for (Timestamp t = 0; t < 3000; ++t) {
@@ -117,13 +113,9 @@ TEST(TsSingleTest, InvariantsUnderAdversarialBursts) {
 void CheckUniformOverWindow(double lambda, Timestamp horizon, Timestamp t0,
                             uint64_t seed, int trials) {
   // Materialize one stream.
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 20).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(lambda)).ValueOrDie(), seed);
-  std::vector<Item> items;
-  for (Timestamp t = 0; t < horizon; ++t) {
-    for (const Item& item : stream.Step()) items.push_back(item);
-  }
+  const std::vector<Item> items =
+      WorkloadSteps(PoissonUniformSpec(lambda, 1 << 20), seed, horizon)
+          .items();
   // Active set at the end.
   std::vector<uint64_t> active;  // indices
   for (const Item& item : items) {

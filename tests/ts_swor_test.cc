@@ -16,10 +16,8 @@
 #include "core/ts_swor.h"
 #include "core/ts_swr.h"
 #include "stats/tests.h"
-#include "stream/arrival.h"
-#include "stream/stream_gen.h"
-#include "stream/value_gen.h"
 #include "util/bits.h"
+#include "workload_steps.h"
 
 namespace swsample {
 namespace {
@@ -97,9 +95,7 @@ TEST(TsSworTest, KDistinctActiveWhenWindowLarge) {
 }
 
 TEST(TsSworTest, DistinctUnderBursts) {
-  auto stream = SyntheticStream(
-      UniformValues::Create(1 << 20).ValueOrDie(),
-      std::move(PoissonBurstArrivals::Create(2.5)).ValueOrDie(), 77);
+  WorkloadSteps stream("poisson@uniform,lambda=2.5,domain=1048576", 77, 2000);
   auto s = TsSworSampler::Create(15, 4, 5).ValueOrDie();
   uint64_t active_total = 0;
   for (Timestamp t = 0; t < 2000; ++t) {

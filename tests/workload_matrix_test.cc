@@ -167,6 +167,16 @@ TEST(WorkloadSpecTest, RejectsBadSpecs) {
   EXPECT_FALSE(WorkloadGenerator::Create("bmodel,bias=0.4", 1).ok());
   EXPECT_FALSE(WorkloadGenerator::Create("poisson,lambda=0", 1).ok());
   EXPECT_FALSE(WorkloadGenerator::Create("constant,dup=1.5", 1).ok());
+  EXPECT_FALSE(WorkloadGenerator::Create("constant,domain=0", 1).ok());
+  EXPECT_FALSE(WorkloadGenerator::Create("constant@zipf,alpha=-1", 1).ok());
+  EXPECT_FALSE(WorkloadGenerator::Create("poisson,lambda=-3", 1).ok());
+  // Specs that would size an allocation past the caps: the Zipf CDF table
+  // (2^24 values) and the dup ring (2^20 values).
+  EXPECT_FALSE(
+      WorkloadGenerator::Create("constant@zipf,domain=100000000000", 1).ok());
+  EXPECT_FALSE(
+      WorkloadGenerator::Create("constant,dup=0.5,duplag=1000000000000", 1)
+          .ok());
 }
 
 TEST(WorkloadGeneratorTest, IsDeterministicPerSeed) {
@@ -176,8 +186,12 @@ TEST(WorkloadGeneratorTest, IsDeterministicPerSeed) {
     EXPECT_EQ(a, b) << w.name;
     auto c = WorkloadGenerator::Create(w.spec, 43).ValueOrDie()->Take(400);
     EXPECT_NE(a, c) << w.name << ": different seeds produced equal streams";
-    // Indices are always consecutive from 0.
+    // Indices are always consecutive from 0, and timestamps never
+    // decrease unless the spec skews them.
     for (uint64_t i = 0; i < a.size(); ++i) EXPECT_EQ(a[i].index, i);
+    if (!w.skewed) {
+      EXPECT_TRUE(IsTimestampOrdered(a, 0)) << w.name;
+    }
   }
 }
 
