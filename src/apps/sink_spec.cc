@@ -1047,6 +1047,11 @@ std::string FormatSinkList() {
     out += info.default_substrate;
     out += "]  ";
     out += info.summary;
+    out += "\n      substrates:";
+    for (const char* substrate : CompatibleSubstrates(info)) {
+      out += " ";
+      out += substrate;
+    }
     out += "\n";
   }
   return out;

@@ -289,8 +289,9 @@ Result<std::vector<WindowEstimator*>> EstimatorPointers(
 /// "name1, name2, ..." over the whole table — for CLI usage/error text.
 std::string RegisteredSinkNames();
 
-/// --list-sinks rendering: one line per registered sampler and estimator
-/// (kind, name, model/substrates, summary).
+/// --list-sinks rendering: one line per registered sampler (name, model,
+/// summary) and per estimator (name, metric, default substrate, summary),
+/// each estimator followed by a line of its compatible substrates.
 std::string FormatSinkList();
 
 }  // namespace swsample

@@ -20,9 +20,10 @@
 ///    shards' windows is the global last-n window (the paper's Section 2
 ///    equivalent-width partition, replicated per shard), so merged
 ///    samples are uniform over it. The union is EXACT when n/N is a
-///    multiple of chunk_items and the delivered item count is a multiple
-///    of chunk_items * N; otherwise it is offset by at most one round of
-///    chunks at the window boundary (a (1 +/- chunk_items*N/n) skew).
+///    multiple of chunk_items: routing has period chunk_items * N, so
+///    every n-long suffix of the stream holds exactly n/N items of each
+///    shard. Otherwise it is offset by at most one round of chunks at the
+///    window boundary (a (1 +/- chunk_items*N/n) skew).
 ///  * kKeyHash — items routed by hash(value). The right mode for KEYED
 ///    workloads and timestamp windows: every key lives in one shard, so
 ///    per-key quantities (F_k, entropy terms) are additive across shards,

@@ -5,8 +5,9 @@
 // a golden file under tests/data/cli/; error cases must exit 2 and print
 // nothing to stdout. Covered: single, sharded and keyed runs with
 // samplers and estimators, --workload, --record-trace then
-// --replay-trace, checkpoint then --kill-after then --resume, and the
-// invalid invocations.
+// --replay-trace, checkpoint then --kill-after then --resume, the sink
+// listing, the invalid invocations, and that merged sharded samples of a
+// sequence window stay inside it.
 //
 // Regenerate the goldens from the binary under test with
 //   SWSAMPLE_UPDATE_GOLDENS=1 build/tests/cli_test
@@ -22,6 +23,8 @@
 #include <sstream>
 #include <string>
 #include <vector>
+
+#include "apps/sink_spec.h"
 
 namespace swsample {
 namespace {
@@ -335,7 +338,63 @@ TEST_F(CliTest, InvalidInvocationsExitTwo) {
       {nullptr, "--failpoints=spill.write=nope 1000 8", "", 2},
       {nullptr, "--algo=bdm-chain --threads=2 1000 4", "seq", 2},
       {nullptr, "--estimator=dkw-quantile --threads=2 1000 4", "seq", 2},
+      // Positionals are whole positive integers that fit a window.
+      {nullptr, "10x 8", "seq", 2},
+      {nullptr, "1000 8x", "seq", 2},
+      {nullptr, "99999999999999999999 8", "seq", 2},
+      {nullptr, "-5 8", "seq", 2},
+      // A checkpoint cadence of 0 would never write one.
+      {nullptr, "--checkpoint-dir=@DIR@/never --checkpoint-every=0 1000 8",
+       "seq", 2},
+      // Every keyed or checkpoint flag needs its mode.
+      {nullptr, "--key-strict-budget 1000 8", "seq", 2},
+      {nullptr, "--key-sync-restore 1000 8", "seq", 2},
+      {nullptr, "--checkpoint-every=5 1000 8", "seq", 2},
+      {nullptr, "--resume=1 --checkpoint-dir=@DIR@/v 1000 8", "seq", 2},
+      {nullptr, "--keys= 1000 8", "seq", 2},
+      {nullptr, "--list", "", 2},
+      {nullptr, "--list-estimators", "", 2},
   });
+  EXPECT_FALSE(std::filesystem::exists(*dir_ + "never"));
+}
+
+TEST_F(CliTest, ListSinksPrintsTheSinkTable) {
+  std::string out;
+  EXPECT_EQ(RunCli("--list-sinks", "", &out), 0);
+  EXPECT_EQ(out, FormatSinkList());
+}
+
+// Chunk routing has period chunk_items * shards; the CLI picks a
+// chunk_items dividing n/shards, so every n-long suffix holds n/shards
+// items of each shard and the merged sample lies in the last n.
+TEST_F(CliTest, ShardedSequenceSamplesStayInWindow) {
+  std::string seq;
+  for (int i = 1; i <= 100000; ++i) seq += std::to_string(i) + "\n";
+  WriteFile(*dir_ + "seq100k.txt", seq);
+  const struct {
+    const char* flags;
+    uint64_t window;
+  } configs[] = {{"--threads=2", 1000}, {"--threads=3", 999},
+                 {"--threads=2 --shards=4 --batch=0", 1000}};
+  for (const auto& config : configs) {
+    for (int seed = 1; seed <= 5; ++seed) {
+      const std::string args = std::string("--algo=bop-seq-swor ") +
+                               config.flags + " --seed=" +
+                               std::to_string(seed) + " " +
+                               std::to_string(config.window) + " 8";
+      SCOPED_TRACE(args);
+      std::string out;
+      ASSERT_EQ(RunCli(args, "seq100k", &out), 0);
+      const size_t open = out.find("sample=[");
+      ASSERT_NE(open, std::string::npos) << out;
+      std::istringstream values(out.substr(open + 8));
+      int sampled = 0;
+      for (uint64_t value = 0; values >> value; ++sampled) {
+        EXPECT_GT(value, 100000 - config.window);
+      }
+      EXPECT_EQ(sampled, 8);
+    }
+  }
 }
 
 }  // namespace

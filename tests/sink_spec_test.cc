@@ -254,5 +254,20 @@ TEST(SinkSpecListTest, FormatSinkListMentionsEveryRegisteredName) {
   EXPECT_NE(names.find("ams-fk"), std::string::npos);
 }
 
+TEST(SinkSpecListTest, FormatSinkListShowsEveryEstimatorsSubstrates) {
+  const std::string list = FormatSinkList();
+  for (const SinkInfo& reg : RegisteredSinks(SinkKind::kEstimator)) {
+    std::string line = "\n      substrates:";
+    for (const char* substrate : CompatibleSubstrates(reg)) {
+      line += std::string(" ") + substrate;
+    }
+    const size_t at = list.find(std::string("  ") + reg.name + "  [");
+    ASSERT_NE(at, std::string::npos) << reg.name;
+    EXPECT_EQ(list.compare(list.find('\n', at), line.size() + 1, line + "\n"),
+              0)
+        << reg.name;
+  }
+}
+
 }  // namespace
 }  // namespace swsample
