@@ -39,21 +39,10 @@
 //  * Keyed mode prints engine stats only (per-key queries are a library
 //    surface: KeyedWindowEngine::SampleKey/EstimateKey) and does not
 //    checkpoint: the engine's spill directory is its persistence story.
-//  * Exit codes: 2 for usage errors (bad flags, bad specs), 1 for run
-//    failures (I/O, malformed input, an unhealthy keyed run), 0 otherwise.
-//
-// Input: one event per line. Sequence mode: "<value>"; timestamp mode:
-// "<timestamp> <value>" with non-decreasing integer timestamps. Blank
-// lines are skipped; malformed lines abort with the offending line number.
-//
-//   --algo=bop-seq-swor 1000000 64:  a uniform 64-subset of the last
-//   million events from ~400 words of state, however long the stream runs.
-//
-//   --estimator=ams-fk --substrate=bop-ts-single 60 256:  the self-join
-//   size F2 of the last 60 seconds, window size unknowable, O(r log n).
-//
-//   --sink=bop-ts-single,t=60 --keys --key-ttl=3600:  one window of the
-//   last 60 seconds PER VALUE, tenants dropped after an idle hour.
+//  * Exit codes: 2 when the flags cannot describe a run (bad flags or
+//    specs, a non-mergeable sink sharded, a checkpoint of another sink);
+//    1 when the run fails (a sink configuration CreateSink rejects, I/O,
+//    malformed input, an unhealthy keyed run); 0 otherwise.
 
 #include <algorithm>
 #include <cerrno>
@@ -61,7 +50,7 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -203,8 +192,11 @@ const FlagRow* FindFlag(std::string_view name) {
   return nullptr;
 }
 
+static_assert(std::size(kFlags) <= 64, "Flags::seen holds one bit per row");
+
 bool Flags::Seen(std::string_view name) const {
-  return (seen >> (FindFlag(name) - kFlags) & 1) != 0;
+  const FlagRow* row = FindFlag(name);
+  return row != nullptr && (seen >> (row - kFlags) & 1) != 0;
 }
 
 void Usage(const char* argv0) {
@@ -239,7 +231,7 @@ bool ParseU64(const char* s, uint64_t* out, bool bytes = false) {
   if (bytes && (*end == 'M' || *end == 'm')) shift = 20;
   if (bytes && (*end == 'G' || *end == 'g')) shift = 30;
   if (shift > 0) ++end;
-  if (*end != '\0') return false;
+  if (*end != '\0' || v > (UINT64_MAX >> shift)) return false;
   *out = static_cast<uint64_t>(v) << shift;
   return true;
 }

@@ -316,6 +316,7 @@ TEST_F(CliTest, InvalidInvocationsExitTwo) {
       {nullptr, "--batch= 1000 8", "", 2},
       {nullptr, "--q=x 1000 8", "", 2},
       {nullptr, "--keys --key-budget=12Q 1000 8", "", 2},
+      {nullptr, "--keys --key-budget=99999999999999G 1000 8", "", 2},
       {nullptr, "--keys --key-degrade=sometimes 1000 8", "", 2},
       {nullptr, "--partition=round 1000 8", "", 2},
       {nullptr, "--key-ttl=5 1000 8", "", 2},
