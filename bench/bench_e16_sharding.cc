@@ -5,11 +5,17 @@
 // measures aggregate and per-core throughput against the single-threaded
 // batched StreamDriver baseline, for the samplers whose merged output the
 // engine can recombine (bop-seq-swr / bop-seq-swor) and for a merge-capable
-// estimator (ams-fk over key-hash partitioning). The scaling claim needs
-// real cores: on a 1-core host every multi-thread row collapses to ~1x,
-// so the table prints the detected core count for context.
+// estimator (ams-fk over key-hash partitioning). The file rows ingest a
+// generated "<value>" file end to end, parse included: the sharded
+// DriveLines at 2 and 4 threads against one StreamDriver over the same
+// file; their speedup_file_sharded_vs_single is gated in BENCH.json. The
+// scaling claim needs real cores: on a 1-core host every multi-thread row
+// collapses to ~1x, so the table prints the detected core count for
+// context.
 
+#include <algorithm>
 #include <cstdint>
+#include <cstdio>
 #include <memory>
 #include <string>
 #include <thread>
@@ -133,6 +139,88 @@ void EstimatorSweep(std::span<const Item> stream,
   }
 }
 
+// The file rows' input is the same in smoke and full mode, so their gated
+// ratio means the same in both; only the repetitions shrink.
+constexpr uint64_t kFileLines = 2'000'000;
+constexpr uint64_t kFileWindow = 1 << 18;
+constexpr uint64_t kFileChunk = 1024;
+const int kFileRepeats = SmokeMode() ? 2 : 5;
+
+/// A "<value>" line per event, values uniform below 10^6, in an anonymous
+/// temporary file.
+std::FILE* GenerateEventFile() {
+  std::FILE* f = std::tmpfile();
+  SWS_CHECK(f != nullptr);
+  Rng rng(21);
+  std::string text;
+  for (uint64_t i = 0; i < kFileLines; ++i) {
+    text += std::to_string(rng.UniformIndex(1000000));
+    text += '\n';
+    if (text.size() >= (1 << 20)) {
+      SWS_CHECK(std::fwrite(text.data(), 1, text.size(), f) == text.size());
+      text.clear();
+    }
+  }
+  SWS_CHECK(std::fwrite(text.data(), 1, text.size(), f) == text.size());
+  return f;
+}
+
+/// Best items/s of kFileRepeats drives of `f` (rewound before each).
+template <typename DriveFn>
+double BestFileRate(std::FILE* f, DriveFn drive) {
+  double best = 0.0;
+  for (int r = 0; r < kFileRepeats; ++r) {
+    std::rewind(f);
+    best = std::max(best, drive(f));
+  }
+  return best;
+}
+
+/// File ingestion, parse included: bop-seq-swor from one generated file
+/// through the sharded DriveLines (blocks parsed on the workers) against
+/// the single-threaded StreamDriver.
+void FileSweep() {
+  std::FILE* f = GenerateEventFile();
+  SinkSpec config;
+  config.name = "bop-seq-swor";
+  config.window_n = kFileWindow;
+  config.k = 16;
+  config.seed = 16;
+
+  const double single = BestFileRate(f, [&](std::FILE* in) {
+    Sink sink = CreateSink(config).ValueOrDie();
+    auto report = StreamDriver().DriveLines(in, "e16-file", false, *sink.sink);
+    SWS_CHECK(report.ok() && report.value().items == kFileLines);
+    return report.value().items_per_sec;
+  });
+  Row({"bop-seq-swor", "file single", F(single / 1e6, 2), "1.00", "1.00",
+       "-"});
+  for (uint64_t threads : {2, 4}) {
+    const double sharded = BestFileRate(f, [&](std::FILE* in) {
+      auto shards = CreateShardedSinks(config, threads).ValueOrDie();
+      ShardedStreamDriver::Options options;
+      options.threads = threads;
+      options.chunk_items = kFileChunk;
+      options.memory_probe_every = 0;
+      options.partition = ShardPartition::kChunks;
+      auto report = ShardedStreamDriver(options).DriveLines(
+          in, "e16-file", false, SinkPointers(shards));
+      SWS_CHECK(report.ok() && report.value().total.items == kFileLines);
+      return report.value().total.items_per_sec;
+    });
+    const double speedup = single > 0 ? sharded / single : 0.0;
+    Row({"bop-seq-swor", "file " + U(threads) + " thr", F(sharded / 1e6, 2),
+         F(speedup, 2), F(speedup / static_cast<double>(threads), 2), "-"});
+    BenchReporter::Global().Report(
+        "e16", "file-seq-" + U(threads) + "thr",
+        {{"gated", 1},
+         {"items_per_sec_single", single},
+         {"items_per_sec_sharded", sharded},
+         {"speedup_file_sharded_vs_single", speedup}});
+  }
+  std::fclose(f);
+}
+
 }  // namespace
 
 int main() {
@@ -166,10 +254,17 @@ int main() {
        "peak wrds"});
   EstimatorSweep(keyed, thread_counts);
 
+  std::printf("\n-- file ingestion, parse included (%llu lines) --\n",
+              static_cast<unsigned long long>(kFileLines));
+  Row({"sampler", "config", "M items/s", "vs single", "per-core",
+       "peak wrds"});
+  FileSweep();
+
   std::printf(
       "\nnote: the producer routes zero-copy sub-spans in chunks mode; the\n"
       "per-item re-index copy runs on the workers, so aggregate throughput\n"
       "scales with cores until memory bandwidth saturates. On a 1-core\n"
       "host (CI smoke) the rows collapse to ~1x by construction.\n");
+  BenchReporter::Global().WriteJsonIfRequested();
   return 0;
 }

@@ -166,19 +166,25 @@ CheckpointWriter::CheckpointWriter(CheckpointPolicy policy,
       last_write_time_(std::chrono::steady_clock::now()) {}
 
 bool CheckpointWriter::Due(uint64_t items) const {
-  if (!enabled()) return false;
-  if (policy_.every_items > 0 &&
-      items - last_items_ >= policy_.every_items) {
-    return true;
+  const uint64_t next = NextDueItems();
+  return (next != UINT64_MAX && items >= next) || DueByTime();
+}
+
+uint64_t CheckpointWriter::NextDueItems() const {
+  if (!enabled() || policy_.every_items == 0 ||
+      policy_.every_items > UINT64_MAX - last_items_) {
+    return UINT64_MAX;
   }
-  if (policy_.every_seconds > 0.0) {
-    const double elapsed =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                      last_write_time_)
-            .count();
-    if (elapsed >= policy_.every_seconds) return true;
-  }
-  return false;
+  return last_items_ + policy_.every_items;
+}
+
+bool CheckpointWriter::DueByTime() const {
+  if (!enabled() || policy_.every_seconds <= 0.0) return false;
+  const double elapsed =
+      std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                    last_write_time_)
+          .count();
+  return elapsed >= policy_.every_seconds;
 }
 
 Status CheckpointWriter::Write(const CheckpointManifest& manifest,

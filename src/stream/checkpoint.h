@@ -141,8 +141,17 @@ class CheckpointWriter {
   /// False when the policy has no directory (checkpointing disabled).
   bool enabled() const { return !policy_.dir.empty(); }
 
-  /// True when a checkpoint should be taken at `items` delivered.
+  /// True when a checkpoint should be taken at `items` delivered: the
+  /// NextDueItems() boundary is reached or DueByTime().
   bool Due(uint64_t items) const;
+
+  /// The delivered-item count at which the every_items trigger next fires
+  /// (UINT64_MAX when it never will), so a producer can deliver a run of
+  /// items up to it without asking per item.
+  uint64_t NextDueItems() const;
+
+  /// True when the every_seconds trigger has fired. Reads the clock.
+  bool DueByTime() const;
 
   /// Serializes every sink and atomically replaces the checkpoint set
   /// (shard files first, MANIFEST rename as the commit point, stale files

@@ -97,28 +97,6 @@ inline Timestamp SaturateTimestamp(uint64_t magnitude, bool negative) {
              : static_cast<Timestamp>(magnitude);
 }
 
-/// Builds the InvalidArgument status for a failed line (cold path).
-Status LineParseError(LineParse failure, const std::string& source_name,
-                      uint64_t line_no, bool timestamped) {
-  const std::string where = source_name + ":" + std::to_string(line_no);
-  switch (failure) {
-    case LineParse::kNonMonotone:
-      return Status::InvalidArgument(where +
-                                     ": timestamps must be non-decreasing");
-    case LineParse::kMalformed:
-    default:
-      return Status::InvalidArgument(
-          where + ": malformed event line (expected " +
-          (timestamped ? "\"<timestamp> <value>\")" : "\"<value>\")"));
-  }
-}
-
-Status LineTooLong(const std::string& source_name, uint64_t line_no) {
-  return Status::InvalidArgument(
-      source_name + ":" + std::to_string(line_no) +
-      ": event line too long (limit " +
-      std::to_string(EventReader::kMaxLineChars) + " characters)");
-}
 }  // namespace
 
 LineParse ParseEventSpan(const char* begin, const char* end, bool timestamped,
@@ -148,13 +126,114 @@ LineParse ParseEventSpan(const char* begin, const char* end, bool timestamped,
   return LineParse::kOk;
 }
 
+size_t ScanEventLines(const char* end, bool final, bool timestamped,
+                      LineCursor& cursor, std::span<Item> out,
+                      LineParse* failure) {
+  // The cursor lives in locals while scanning: stores into `out` could
+  // otherwise alias it and force a reload per line.
+  const char* p = cursor.pos;
+  uint64_t line_no = cursor.line_no;
+  StreamIndex index = cursor.index;
+  Timestamp last_ts = cursor.last_ts;
+  LineParse result = LineParse::kOk;
+  size_t n = 0;
+  while (n < out.size() && p != end) {
+    // One word-wise scan finds whichever of '\n' or '\0' comes first. A
+    // NUL ends the parsed span, but the line itself (for advancing and for
+    // the length limit) still runs to the newline.
+    const char* const hit = FindNewlineOrNul(p, end);
+    const char* nl = hit;
+    if (hit != end && *hit == '\0') {
+      nl = static_cast<const char*>(std::memchr(hit, '\n', end - hit));
+      if (nl == nullptr) nl = end;
+    }
+    if (nl == end && !final) break;  // the caller carries the partial line
+    ++line_no;
+    if (static_cast<size_t>(nl - p) > EventReader::kMaxLineChars) {
+      result = LineParse::kTooLong;
+      break;
+    }
+    const char* const line = p;
+    p = nl == end ? end : nl + 1;
+    uint64_t value = 0;
+    Timestamp ts = 0;
+    const LineParse parsed =
+        ParseEventSpan(line, hit, timestamped, last_ts, &value, &ts);
+    if (parsed == LineParse::kBlank) continue;
+    if (parsed != LineParse::kOk) {
+      result = parsed;
+      break;
+    }
+    if (timestamped) {
+      last_ts = ts;
+    } else {
+      ts = static_cast<Timestamp>(index);
+    }
+    out[n++] = Item{value, index++, ts};
+  }
+  cursor = LineCursor{p, line_no, index, last_ts};
+  *failure = result;
+  return n;
+}
+
+Status EventLineError(LineParse failure, const std::string& source_name,
+                      uint64_t line_no, bool timestamped) {
+  const std::string where = source_name + ":" + std::to_string(line_no);
+  switch (failure) {
+    case LineParse::kNonMonotone:
+      return Status::InvalidArgument(where +
+                                     ": timestamps must be non-decreasing");
+    case LineParse::kTooLong:
+      return Status::InvalidArgument(
+          where + ": event line too long (limit " +
+          std::to_string(EventReader::kMaxLineChars) + " characters)");
+    case LineParse::kMalformed:
+    default:
+      return Status::InvalidArgument(
+          where + ": malformed event line (expected " +
+          (timestamped ? "\"<timestamp> <value>\")" : "\"<value>\")"));
+  }
+}
+
+Status ResumeHandoffError(const std::string& source_name, uint64_t line_no) {
+  return Status::InvalidArgument(
+      source_name + ":" + std::to_string(line_no) +
+      ": replayed input does not match the checkpoint (timestamp "
+      "diverges at the resume point)");
+}
+
+Status ResumeShortError(const std::string& source_name, uint64_t items) {
+  return Status::InvalidArgument(
+      source_name + ": replayed input ends before the checkpoint's " +
+      std::to_string(items) + " ingested events");
+}
+
+Result<size_t> ReadBlock(std::FILE* f, std::span<char> dst,
+                         const std::string& source_name, bool* eof) {
+  size_t got = 0;
+  for (;;) {
+    got += std::fread(dst.data() + got, 1, dst.size() - got, f);
+    if (got == dst.size()) return got;
+    if (!std::ferror(f)) {
+      *eof = true;
+      return got;
+    }
+    const int err = errno;
+    if (err != EINTR) {
+      return Status::InvalidArgument(source_name + ": read error: " +
+                                     std::strerror(err));
+    }
+    std::clearerr(f);
+  }
+}
+
 EventReader::EventReader(std::FILE* f, std::string source_name,
                          bool timestamped, const CheckpointManifest* resume)
     : file_(f),
       block_(kBlockBytes),
       source_name_(std::move(source_name)),
       timestamped_(timestamped) {
-  p_ = end_ = block_.data();
+  cursor_.pos = end_ = block_.data();
   if (resume != nullptr) {
     skip_ = resume->items;
     resume_ts_ = resume->last_ts;
@@ -163,11 +242,11 @@ EventReader::EventReader(std::FILE* f, std::string source_name,
 
 EventReader::EventReader(std::string_view data, std::string source_name,
                          bool timestamped, const CheckpointManifest* resume)
-    : p_(data.data()),
-      end_(data.data() + data.size()),
+    : end_(data.data() + data.size()),
       eof_(true),
       source_name_(std::move(source_name)),
       timestamped_(timestamped) {
+  cursor_.pos = data.data();
   if (resume != nullptr) {
     skip_ = resume->items;
     resume_ts_ = resume->last_ts;
@@ -176,111 +255,61 @@ EventReader::EventReader(std::string_view data, std::string source_name,
 
 size_t EventReader::Read(std::span<Item> out) {
   if (!status_.ok()) return 0;
-  // The integer state lives in locals while scanning: stores into `out`
-  // could otherwise alias the members and force a reload per line.
-  StreamIndex index = index_;
-  Timestamp last_ts = last_ts_;
-  uint64_t line_no = line_no_;
   size_t n = 0;
   while (n < out.size()) {
-    if (p_ == end_) {
-      if (!eof_) {
-        if (!Refill()) break;
-        continue;
-      }
-      if (index < skip_) {
-        status_ = Status::InvalidArgument(
-            source_name_ + ": replayed input ends before the checkpoint's " +
-            std::to_string(skip_) + " ingested events");
-      }
+    // Events the checkpoint already covers are parsed (validating the
+    // replayed input) into the free tail of `out` and dropped.
+    const bool skipping = cursor_.index < skip_;
+    const size_t want =
+        skipping ? std::min<uint64_t>(out.size() - n, skip_ - cursor_.index)
+                 : out.size() - n;
+    LineParse failure = LineParse::kOk;
+    const size_t got = ScanEventLines(end_, eof_, timestamped_, cursor_,
+                                      out.subspan(n, want), &failure);
+    if (failure != LineParse::kOk) {
+      status_ = EventLineError(failure, source_name_, cursor_.line_no,
+                               timestamped_);
       break;
     }
-    // One word-wise scan finds whichever of '\n' or '\0' comes first. A
-    // NUL ends the parsed span, but the line itself (for advancing and for
-    // the length limit) still runs to the newline.
-    const char* const hit = FindNewlineOrNul(p_, end_);
-    const char* nl = hit;
-    if (hit != end_ && *hit == '\0') {
-      nl = static_cast<const char*>(std::memchr(hit, '\n', end_ - hit));
-      if (nl == nullptr) nl = end_;
+    if (!skipping) {
+      n += got;
+    } else if (cursor_.index == skip_ && timestamped_ &&
+               cursor_.last_ts != resume_ts_) {
+      // The clock handoff catches a resume against a different stream.
+      status_ = ResumeHandoffError(source_name_, cursor_.line_no);
+      break;
     }
-    if (nl == end_ && !eof_) {
-      // The line continues past the block: carry it over and rescan. A
-      // carry already over the cap is an over-long line, so the block
+    if (got == want) continue;
+    // The complete lines ran out.
+    if (!eof_) {
+      // A carry already over the cap is an over-long line, so the block
       // never has to grow.
-      if (static_cast<size_t>(end_ - p_) > kMaxLineChars) {
-        status_ = LineTooLong(source_name_, line_no + 1);
+      if (static_cast<size_t>(end_ - cursor_.pos) > kMaxLineChars) {
+        status_ = EventLineError(LineParse::kTooLong, source_name_,
+                                 cursor_.line_no + 1, timestamped_);
         break;
       }
       if (!Refill()) break;
       continue;
     }
-    ++line_no;
-    if (static_cast<size_t>(nl - p_) > kMaxLineChars) {
-      status_ = LineTooLong(source_name_, line_no);
-      break;
-    }
-    const char* const line = p_;
-    p_ = nl == end_ ? end_ : nl + 1;
-    uint64_t value = 0;
-    Timestamp ts = 0;
-    const LineParse parsed =
-        ParseEventSpan(line, hit, timestamped_, last_ts, &value, &ts);
-    if (parsed == LineParse::kBlank) continue;
-    if (parsed != LineParse::kOk) {
-      status_ = LineParseError(parsed, source_name_, line_no, timestamped_);
-      break;
-    }
-    if (timestamped_) {
-      last_ts = ts;
-    } else {
-      ts = static_cast<Timestamp>(index);
-    }
-    if (index < skip_) {
-      // Already ingested before the checkpoint: parsed (validating the
-      // replayed input) but not yielded. The clock handoff catches a
-      // resume against a different stream.
-      ++index;
-      if (index == skip_ && timestamped_ && last_ts != resume_ts_) {
-        status_ = Status::InvalidArgument(
-            source_name_ + ":" + std::to_string(line_no) +
-            ": replayed input does not match the checkpoint (timestamp "
-            "diverges at the resume point)");
-        break;
-      }
-      continue;
-    }
-    out[n++] = Item{value, index++, ts};
+    if (cursor_.index < skip_) status_ = ResumeShortError(source_name_, skip_);
+    break;
   }
-  index_ = index;
-  last_ts_ = last_ts;
-  line_no_ = line_no;
   return n;
 }
 
 bool EventReader::Refill() {
-  const size_t carry = static_cast<size_t>(end_ - p_);
-  std::memmove(block_.data(), p_, carry);
+  const size_t carry = static_cast<size_t>(end_ - cursor_.pos);
+  std::memmove(block_.data(), cursor_.pos, carry);
   char* const dst = block_.data() + carry;
-  const size_t want = block_.size() - carry;
-  size_t got = 0;
-  for (;;) {
-    got += std::fread(dst + got, 1, want - got, file_);
-    if (got == want) break;
-    if (!std::ferror(file_)) {
-      eof_ = true;
-      break;
-    }
-    const int err = errno;
-    if (err != EINTR) {
-      status_ = Status::InvalidArgument(source_name_ + ": read error: " +
-                                        std::strerror(err));
-      return false;
-    }
-    std::clearerr(file_);
+  auto got = ReadBlock(file_, std::span<char>(dst, block_.size() - carry),
+                       source_name_, &eof_);
+  if (!got.ok()) {
+    status_ = got.status();
+    return false;
   }
-  p_ = block_.data();
-  end_ = dst + got;
+  cursor_.pos = block_.data();
+  end_ = dst + got.value();
   return true;
 }
 

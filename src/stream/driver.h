@@ -7,11 +7,12 @@
 /// place single-threaded harness code pumps items from — benchmarks,
 /// examples and the CLI share it.
 ///
-/// Text input has exactly one reader, EventReader below: files, pipes and
-/// stdin are read in fixed 64 KiB blocks and in-memory buffers are scanned
-/// in place, so every entry point (DriveLines, DriveFile, DriveBuffer and
-/// the sharded engine in stream/sharded_driver.h) parses the same grammar
-/// with the same errors and hands the sink the same batches.
+/// Text input has exactly one grammar, ScanEventLines below. EventReader
+/// runs it over files, pipes and stdin read in fixed 64 KiB blocks and
+/// over in-memory buffers scanned in place, for DriveLines, DriveFile and
+/// DriveBuffer. The sharded engine (stream/sharded_driver.h) reads its own
+/// blocks cut at newlines and runs the same scan on its worker threads, so
+/// every entry point accepts the same input with the same errors.
 ///
 /// Ownership: a driver borrows the sink only for the duration of one
 /// Drive* call and holds no state between calls.
@@ -142,13 +143,14 @@ class StreamDriver {
 };
 
 /// Allocation-free core of the event-line grammar: how one line failed to
-/// parse, if it did. EventReader builds error strings only on the failing
-/// line — successfully parsed lines allocate nothing.
+/// parse, if it did. Error strings are built only for the failing line
+/// (EventLineError) — successfully parsed lines allocate nothing.
 enum class LineParse {
   kOk,           ///< *value (and *ts when timestamped) are set
   kBlank,        ///< whitespace-only line; skip it
   kMalformed,    ///< not "<value>" / "<timestamp> <value>"
   kNonMonotone,  ///< timestamp decreased
+  kTooLong,      ///< longer than EventReader::kMaxLineChars (ScanEventLines)
 };
 
 /// Parses the event on [begin, end) (one line, no terminator) with a
@@ -158,7 +160,51 @@ enum class LineParse {
 LineParse ParseEventSpan(const char* begin, const char* end, bool timestamped,
                          Timestamp last_ts, uint64_t* value, Timestamp* ts);
 
-/// The one source of parsed events for both drivers. Reads a FILE* in
+/// Where a scan over event lines stands; ScanEventLines advances it.
+struct LineCursor {
+  const char* pos = nullptr;  ///< next unscanned byte
+  uint64_t line_no = 0;       ///< lines consumed so far, blank ones too
+  StreamIndex index = 0;      ///< index the next event gets
+  Timestamp last_ts = 0;      ///< the last event's timestamp
+};
+
+/// The event-line grammar over one block of text: parses the lines from
+/// cursor.pos up to `end` into `out` as Item{value, index, timestamp},
+/// where index counts events from cursor.index and, when `timestamped` is
+/// false, the timestamp is the index. Lines are split at '\n'; a NUL ends
+/// the parsed part of its line; blank lines are skipped; lines longer
+/// than EventReader::kMaxLineChars fail; timestamps must not fall below
+/// cursor.last_ts or the event before them.
+///
+/// Stops after the event that fills `out`, when the complete lines run out
+/// or at the first failing line, and returns the events written. `*failure`
+/// is kOk unless a line failed; then the failing line is cursor.line_no.
+/// With `final` false a last line without a newline is left unconsumed
+/// (cursor.pos at its start) for the caller to carry into the next block;
+/// with `final` true it is parsed.
+size_t ScanEventLines(const char* end, bool final, bool timestamped,
+                      LineCursor& cursor, std::span<Item> out,
+                      LineParse* failure);
+
+/// The InvalidArgument a failed line becomes: "source_name:line_no: ...".
+Status EventLineError(LineParse failure, const std::string& source_name,
+                      uint64_t line_no, bool timestamped);
+
+/// The InvalidArgument of a resumed drive whose replayed input disagrees
+/// with the checkpoint at the handoff event on line `line_no`.
+Status ResumeHandoffError(const std::string& source_name, uint64_t line_no);
+
+/// The InvalidArgument of a resumed drive whose replayed input ends
+/// before the checkpoint's `items` ingested events.
+Status ResumeShortError(const std::string& source_name, uint64_t items);
+
+/// Fills `dst` from `f`, retrying EINTR, and returns the bytes read: fewer
+/// than dst.size() only at the end of the file, which sets *eof. A failed
+/// read is an InvalidArgument naming `source_name`.
+Result<size_t> ReadBlock(std::FILE* f, std::span<char> dst,
+                         const std::string& source_name, bool* eof);
+
+/// The one reader of parsed events for StreamDriver. Reads a FILE* in
 /// fixed kBlockBytes refills (carrying a partial last line to the front
 /// of the block) or scans an in-memory buffer in place as one final block,
 /// and yields one Item per event line:
@@ -203,16 +249,13 @@ class EventReader {
 
   std::FILE* file_ = nullptr;  // null when scanning a buffer
   std::vector<char> block_;    // kBlockBytes when reading a file
-  const char* p_ = nullptr;    // next unscanned byte
+  LineCursor cursor_;          // cursor_.pos: next unscanned byte
   const char* end_ = nullptr;  // end of the bytes read so far
   bool eof_ = false;           // nothing follows end_
   std::string source_name_;
   bool timestamped_;
   uint64_t skip_ = 0;          // events already ingested before resume
   Timestamp resume_ts_ = 0;    // the checkpoint's clock at the handoff
-  uint64_t line_no_ = 0;
-  StreamIndex index_ = 0;
-  Timestamp last_ts_ = 0;
   Status status_;
 };
 

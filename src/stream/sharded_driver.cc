@@ -10,6 +10,7 @@
 #include "stream/sharded_driver.h"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -27,8 +28,13 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Items the producer parses per EventReader::Read before routing them.
-constexpr size_t kReadItems = 1024;
+/// Small enough that the parse jobs in flight stay cache-sized, large
+/// enough that one hand-off per job is noise next to its parse.
+constexpr size_t kParseBlockBytes = ShardedStreamDriver::kParseBlockBytes;
+
+/// Parse jobs in flight per worker thread: one being parsed, one queued.
+/// Bounds the producer's read-ahead, and so its memory.
+constexpr size_t kParseJobsPerWorker = 2;
 
 /// Key-hash partition function: the shared SplitMix64 finalizer
 /// (util/flat_map.h) over a golden-ratio-offset key — bit-identical to
@@ -38,21 +44,87 @@ uint64_t MixKey(uint64_t value) {
   return SplitMix64Hash(value + 0x9e3779b97f4a7c15ULL);
 }
 
+/// One block of complete event lines and what a worker parsed from it.
+/// The producer fills `bytes`, hands the job to a worker, and reads the
+/// results back once it is parsed (Engine::AwaitParsed). Whoever claims
+/// the job first parses it: its worker, or the producer when it needs the
+/// job before the worker got to it.
+struct ParseJob {
+  enum State { kQueued, kParsing, kParsed };
+
+  ParseJob() : bytes(kParseBlockBytes), items(kParseBlockBytes / 16) {}
+
+  /// True for exactly one caller per submission.
+  bool Claim() {
+    int queued = kQueued;
+    return state.compare_exchange_strong(queued, kParsing,
+                                         std::memory_order_acquire);
+  }
+
+  /// Runs the event-line grammar over [0, size). Indices count events
+  /// from 0 within the block, and so do timestamps in sequence mode; the
+  /// producer rebases both. The block does not know the timestamp before
+  /// it, so its first event is not checked against it here.
+  void Parse() {
+    const char* const end = bytes.data() + size;
+    LineCursor cursor{bytes.data(), 0, 0, INT64_MIN};
+    // The first event alone, to learn its line: a timestamp decrease
+    // across the seam with the block before is reported there.
+    count = ScanEventLines(end, /*final=*/true, timestamped, cursor,
+                           std::span<Item>(items.data(), 1), &failure);
+    first_line = cursor.line_no;
+    while (failure == LineParse::kOk && cursor.pos != end) {
+      if (count == items.size()) items.resize(2 * items.size());
+      count += ScanEventLines(end, /*final=*/true, timestamped, cursor,
+                              std::span<Item>(items).subspan(count),
+                              &failure);
+    }
+    lines = cursor.line_no;
+  }
+
+  /// The block-relative line of event number `events` (1-based). Rescans
+  /// the block; only an error message needs it.
+  uint64_t LineOfEvent(uint64_t events) const {
+    LineCursor cursor{bytes.data(), 0, 0, INT64_MIN};
+    Item scratch[64];
+    LineParse ignored = LineParse::kOk;
+    while (events > 0) {
+      events -= ScanEventLines(
+          bytes.data() + size, /*final=*/true, timestamped, cursor,
+          std::span<Item>(scratch, std::min<uint64_t>(events, 64)), &ignored);
+    }
+    return cursor.line_no;
+  }
+
+  std::vector<char> bytes;  ///< [0, size) holds whole lines
+  size_t size = 0;
+  bool timestamped = false;
+  std::vector<Item> items;  ///< [0, count) parsed; grows as needed
+  size_t count = 0;
+  uint64_t lines = 0;       ///< lines scanned, up to a failing one
+  uint64_t first_line = 0;  ///< line of the first event, if count > 0
+  LineParse failure = LineParse::kOk;
+  /// kParsed is stored under the engine's parse mutex.
+  std::atomic<int> state{kParsed};
+};
+
 /// One routed unit of work. kSpan references producer-owned storage (the
 /// zero-copy path of Drive over a materialized stream); kOwned moves the
 /// storage through the queue; kBarrier is the checkpoint quiesce token
 /// (the worker acknowledges it after draining everything before it).
 struct Msg {
-  enum class Kind { kSpan, kOwned, kAdvance, kBarrier, kStop };
+  enum class Kind { kSpan, kOwned, kAdvance, kParse, kBarrier, kStop };
   Kind kind = Kind::kStop;
   uint32_t shard = 0;
   std::span<const Item> span;
   std::vector<Item> owned;
   Timestamp now = 0;
+  ParseJob* job = nullptr;
 };
 
-/// Bounded FIFO with one producer and one consumer; Push blocks while the
-/// queue is at capacity, which is the engine's backpressure mechanism.
+/// Bounded FIFO (a mutex/condvar deque) with one producer and one
+/// consumer; Push blocks while the queue is at capacity, which is the
+/// engine's backpressure mechanism.
 class BoundedMsgQueue {
  public:
   explicit BoundedMsgQueue(size_t capacity) : capacity_(capacity) {}
@@ -86,9 +158,16 @@ class BoundedMsgQueue {
 /// Queues + worker threads of one Drive* call. Every shard's messages go
 /// through the queue of worker (shard % workers), so per-shard order is
 /// FIFO; a shard's state (local re-index counter, report) is touched only
-/// by its owning worker until Finish() joins the threads.
+/// by its owning worker until Finish() joins the threads. Parse jobs share
+/// the same queues and touch no shard state.
 class ShardedStreamDriver::Engine {
  public:
+  /// Worker threads an engine runs for `shards` shard sinks.
+  static uint64_t Workers(const Options& options, size_t shards) {
+    return std::min<uint64_t>(std::max<uint64_t>(options.threads, 1),
+                              shards);
+  }
+
   /// `initial_indices` (empty, or one entry per sink) seeds the shards'
   /// local re-index cursors when resuming from a checkpoint.
   Engine(const Options& options, std::span<StreamSink* const> sinks,
@@ -100,9 +179,7 @@ class ShardedStreamDriver::Engine {
          ++s) {
       shard_state_[s].local_index = initial_indices[s];
     }
-    const uint64_t workers =
-        std::min<uint64_t>(std::max<uint64_t>(options.threads, 1),
-                           sinks_.size());
+    const uint64_t workers = Workers(options, sinks_.size());
     queues_.reserve(workers);
     for (uint64_t w = 0; w < workers; ++w) {
       queues_.push_back(
@@ -144,6 +221,30 @@ class ShardedStreamDriver::Engine {
       msg.now = now;
       QueueOf(shard).Push(std::move(msg));
     }
+  }
+
+  /// Queues `job` for a worker to parse; jobs go round-robin by `block`.
+  /// The producer leaves the job alone until AwaitParsed returns it.
+  void SubmitParse(ParseJob& job, uint64_t block) {
+    job.state.store(ParseJob::kQueued, std::memory_order_release);
+    Msg msg;
+    msg.kind = Msg::Kind::kParse;
+    msg.job = &job;
+    queues_[block % queues_.size()]->Push(std::move(msg));
+  }
+
+  /// Returns once `job` is parsed. A job no worker has claimed yet is
+  /// parsed right here: the producer would only wait for it otherwise.
+  void AwaitParsed(ParseJob& job) {
+    if (job.Claim()) {
+      job.Parse();
+      job.state.store(ParseJob::kParsed, std::memory_order_relaxed);
+      return;
+    }
+    std::unique_lock<std::mutex> lock(parse_mu_);
+    parse_cv_.wait(lock, [&] {
+      return job.state.load(std::memory_order_acquire) == ParseJob::kParsed;
+    });
   }
 
   /// Drains every queue: pushes one barrier per worker and blocks until
@@ -247,6 +348,18 @@ class ShardedStreamDriver::Engine {
         case Msg::Kind::kAdvance:
           sinks_[msg.shard]->AdvanceTime(msg.now);
           break;
+        case Msg::Kind::kParse:
+          // A job the producer claimed first, and perhaps already
+          // resubmitted for a later block, is not this message's to parse.
+          if (!msg.job->Claim()) break;
+          msg.job->Parse();
+          {
+            std::lock_guard<std::mutex> lock(parse_mu_);
+            msg.job->state.store(ParseJob::kParsed,
+                                 std::memory_order_release);
+          }
+          parse_cv_.notify_one();
+          break;
         case Msg::Kind::kSpan: {
           // Re-index into the shard's local stream; values and timestamps
           // pass through. The copy runs on the worker, so it scales with
@@ -278,6 +391,8 @@ class ShardedStreamDriver::Engine {
   std::mutex barrier_mu_;
   std::condition_variable barrier_cv_;
   uint64_t barrier_acks_ = 0;
+  std::mutex parse_mu_;
+  std::condition_variable parse_cv_;
   bool finished_ = false;
 };
 
@@ -319,22 +434,43 @@ class OwnedRouter {
     manifest->pending = pending_;
   }
 
-  void Add(const Item& item) {
-    last_ts_ = item.timestamp;
+  /// Routes a run of consecutive events, rebased: item i goes out as
+  /// Item{value, index + index_base, timestamp + ts_base}. Parsed blocks
+  /// count from 0 and pass their stream offsets; spans already numbered
+  /// pass 0. kChunks appends the run a chunk at a time.
+  void AddRun(std::span<const Item> items, StreamIndex index_base,
+              Timestamp ts_base) {
+    if (items.empty()) return;
+    last_ts_ = items.back().timestamp + ts_base;
     if (options_.partition == ShardPartition::kKeyHash) {
-      const uint32_t shard = static_cast<uint32_t>(
-          ShardOfKey(item.value >> options_.key_shift, shards_));
-      pending_[shard].push_back(item);
-      if (pending_[shard].size() >= options_.chunk_items) {
-        FlushTarget(shard, shard);
+      for (const Item& item : items) {
+        const Item routed{item.value, item.index + index_base,
+                          item.timestamp + ts_base};
+        const uint32_t shard = static_cast<uint32_t>(
+            ShardOfKey(routed.value >> options_.key_shift, shards_));
+        pending_[shard].push_back(routed);
+        if (pending_[shard].size() >= options_.chunk_items) {
+          FlushTarget(shard, shard);
+        }
       }
       return;
     }
-    pending_[0].push_back(item);
-    if (pending_[0].size() >= options_.chunk_items) {
-      FlushTarget(0, next_chunk_shard_);
-      next_chunk_shard_ =
-          static_cast<uint32_t>((next_chunk_shard_ + 1) % shards_);
+    std::vector<Item>& pending = pending_[0];
+    for (size_t i = 0; i < items.size();) {
+      const size_t room = pending.size() < options_.chunk_items
+                              ? options_.chunk_items - pending.size()
+                              : 1;
+      const size_t take = std::min(room, items.size() - i);
+      for (const Item& item : items.subspan(i, take)) {
+        pending.push_back(Item{item.value, item.index + index_base,
+                               item.timestamp + ts_base});
+      }
+      i += take;
+      if (pending.size() >= options_.chunk_items) {
+        FlushTarget(0, next_chunk_shard_);
+        next_chunk_shard_ =
+            static_cast<uint32_t>((next_chunk_shard_ + 1) % shards_);
+      }
     }
   }
 
@@ -368,6 +504,185 @@ class OwnedRouter {
   std::vector<std::vector<Item>> pending_;  // [shard] or [0] for kChunks
   Timestamp last_ts_ = 0;
   bool saw_items_ = false;
+};
+
+/// The producer's reads for DriveLines: fills parse jobs with blocks of
+/// whole lines, carrying each block's partial last line into the next.
+class BlockReader {
+ public:
+  BlockReader(std::FILE* f, const std::string& source_name)
+      : file_(f), source_name_(source_name) {
+    carry_.reserve(EventReader::kMaxLineChars);
+  }
+
+  /// Fills `job` with the next block. False when there is none: the input
+  /// ended or a read failed (status()), or the line after the last block
+  /// is over-long (carry_too_long()).
+  bool Next(ParseJob& job) {
+    if (done_) return false;
+    std::copy(carry_.begin(), carry_.end(), job.bytes.begin());
+    auto got = ReadBlock(
+        file_, std::span<char>(job.bytes).subspan(carry_.size()),
+        source_name_, &eof_);
+    if (!got.ok()) {
+      status_ = got.status();
+      done_ = true;
+      return false;
+    }
+    const size_t size = carry_.size() + got.value();
+    carry_.clear();
+    if (eof_) {
+      done_ = true;
+      job.size = size;
+      return size > 0;
+    }
+    size_t cut = size;
+    while (cut > 0 && job.bytes[cut - 1] != '\n') --cut;
+    // A carry already over the cap is an over-long line, so a block never
+    // has to grow.
+    if (size - cut > EventReader::kMaxLineChars) {
+      carry_too_long_ = true;
+      done_ = true;
+    } else {
+      carry_.assign(job.bytes.begin() + cut, job.bytes.begin() + size);
+    }
+    job.size = cut;
+    return cut > 0;
+  }
+
+  bool done() const { return done_; }
+  const Status& status() const { return status_; }
+  bool carry_too_long() const { return carry_too_long_; }
+
+ private:
+  std::FILE* file_;
+  const std::string& source_name_;
+  std::vector<char> carry_;
+  bool eof_ = false;
+  bool done_ = false;
+  bool carry_too_long_ = false;
+  Status status_;
+};
+
+/// The producer's half of DriveLines past the reads: takes parsed blocks
+/// back in block order, numbers their events, checks timestamps across
+/// block seams, applies the resume skip and its handoff check, routes the
+/// events in runs and writes checkpoints between runs. Errors come out in
+/// stream order with the messages EventReader gives.
+class Sequencer {
+ public:
+  Sequencer(const std::string& source_name, bool timestamped,
+            const CheckpointManifest* resume,
+            const ShardedStreamDriver::Options& options,
+            std::span<StreamSink* const> shards,
+            ShardedStreamDriver::Engine& engine, OwnedRouter& router,
+            CheckpointWriter* writer)
+      : source_name_(source_name),
+        timestamped_(timestamped),
+        options_(options),
+        shards_(shards),
+        engine_(engine),
+        router_(router),
+        writer_(writer) {
+    if (resume != nullptr) {
+      skip_ = resume->items;
+      resume_ts_ = resume->last_ts;
+    }
+  }
+
+  /// Takes the next block in stream order.
+  Status Take(const ParseJob& job) {
+    const std::span<const Item> items(job.items.data(), job.count);
+    if (timestamped_ && !items.empty() &&
+        items.front().timestamp < last_ts_) {
+      return EventLineError(LineParse::kNonMonotone, source_name_,
+                            line_no_ + job.first_line, timestamped_);
+    }
+    const StreamIndex base = index_;
+    uint64_t skipped = 0;
+    if (index_ < skip_) {
+      skipped = std::min<uint64_t>(items.size(), skip_ - index_);
+      if (timestamped_ && skipped > 0 && base + skipped == skip_ &&
+          items[skipped - 1].timestamp != resume_ts_) {
+        return ResumeHandoffError(source_name_,
+                                  line_no_ + job.LineOfEvent(skipped));
+      }
+    }
+    index_ += items.size();
+    if (timestamped_ && !items.empty()) last_ts_ = items.back().timestamp;
+    if (Status s = Route(items.subspan(skipped), base); !s.ok()) return s;
+    line_no_ += job.lines;
+    if (job.failure != LineParse::kOk) {
+      return EventLineError(job.failure, source_name_, line_no_,
+                            timestamped_);
+    }
+    return Status::Ok();
+  }
+
+  /// The end of the input, after the last block; `reader` tells how the
+  /// reads ended.
+  Status Finish(const BlockReader& reader) const {
+    if (reader.carry_too_long()) {
+      return EventLineError(LineParse::kTooLong, source_name_, line_no_ + 1,
+                            timestamped_);
+    }
+    if (!reader.status().ok()) return reader.status();
+    if (index_ < skip_) return ResumeShortError(source_name_, skip_);
+    return Status::Ok();
+  }
+
+ private:
+  /// Routes a block's events (block-relative indices, rebased by `base`)
+  /// in runs that end at each item-count checkpoint boundary; the time
+  /// trigger is checked once per block.
+  Status Route(std::span<const Item> items, StreamIndex base) {
+    if (items.empty()) return Status::Ok();
+    const Timestamp ts_base = timestamped_ ? 0 : static_cast<Timestamp>(base);
+    for (size_t i = 0; i < items.size();) {
+      const uint64_t at = base + items[i].index;  // events routed so far
+      const uint64_t due =
+          writer_ == nullptr ? UINT64_MAX : writer_->NextDueItems();
+      const size_t take =
+          due == UINT64_MAX ? items.size() - i
+                            : static_cast<size_t>(std::min<uint64_t>(
+                                  items.size() - i, due > at ? due - at : 1));
+      router_.AddRun(items.subspan(i, take), base, ts_base);
+      i += take;
+      if (due != UINT64_MAX && at + take >= due) {
+        if (Status s = Checkpoint(at + take); !s.ok()) return s;
+      }
+    }
+    if (writer_ != nullptr && writer_->DueByTime()) {
+      return Checkpoint(base + items.back().index + 1);
+    }
+    return Status::Ok();
+  }
+
+  /// Drains the workers so shard sinks are stable, then persists the sinks
+  /// plus the router's un-flushed buffers at `items` routed events.
+  Status Checkpoint(uint64_t items) {
+    engine_.Quiesce();
+    CheckpointManifest manifest;
+    manifest.items = items;
+    manifest.chunk_items = options_.chunk_items;
+    manifest.partition = static_cast<uint64_t>(options_.partition);
+    manifest.shard_items = engine_.LocalIndices();
+    router_.ExportTo(&manifest);
+    return writer_->Write(manifest, shards_);
+  }
+
+  const std::string& source_name_;
+  const bool timestamped_;
+  const ShardedStreamDriver::Options& options_;
+  std::span<StreamSink* const> shards_;
+  ShardedStreamDriver::Engine& engine_;
+  OwnedRouter& router_;
+  CheckpointWriter* const writer_;
+  uint64_t skip_ = 0;        // events already ingested before resume
+  Timestamp resume_ts_ = 0;  // the checkpoint's clock at the handoff
+  StreamIndex index_ = 0;    // events taken so far, skipped ones too
+  uint64_t line_no_ = 0;     // lines of the blocks taken so far
+  Timestamp last_ts_ = 0;    // the last event's timestamp
 };
 
 /// Sums the per-shard reports into the wall-clock total.
@@ -442,7 +757,7 @@ Result<ShardedDriveReport> ShardedStreamDriver::Drive(
     if (!items.empty()) engine.BroadcastAdvance(items.back().timestamp);
   } else {
     OwnedRouter router(options_, num_shards, engine);
-    for (const Item& item : items) router.Add(item);
+    router.AddRun(items, 0, 0);
     router.FinishStream();
   }
   return AssembleReport(begin, engine.Finish());
@@ -476,32 +791,36 @@ Result<ShardedDriveReport> ShardedStreamDriver::DriveLines(
     }
   }
   const auto begin = Clock::now();
+  // The jobs outlive the engine: on an error exit ~Engine joins workers
+  // that may still be parsing them.
+  std::vector<ParseJob> jobs(kParseJobsPerWorker *
+                             Engine::Workers(options_, shards.size()));
+  for (ParseJob& job : jobs) job.timestamped = timestamped;
   Engine engine(options_, shards,
                 resume == nullptr ? std::span<const uint64_t>()
                                   : std::span<const uint64_t>(
                                         resume->shard_items));
   OwnedRouter router(options_, shards.size(), engine, resume);
-  EventReader reader(f, source_name, timestamped, resume);
-  // A parse error ends this loop and a failed checkpoint write returns
-  // from it; ~Engine stops and joins the workers on every exit path.
-  std::vector<Item> items(kReadItems);
-  while (const size_t got = reader.Read(items)) {
-    for (const Item& item : std::span<const Item>(items.data(), got)) {
-      router.Add(item);
-      if (writer == nullptr || !writer->Due(item.index + 1)) continue;
-      // Drain the workers so shard sinks are stable, then persist the
-      // sinks plus the router's un-flushed buffers.
-      engine.Quiesce();
-      CheckpointManifest manifest;
-      manifest.items = item.index + 1;
-      manifest.chunk_items = options_.chunk_items;
-      manifest.partition = static_cast<uint64_t>(options_.partition);
-      manifest.shard_items = engine.LocalIndices();
-      router.ExportTo(&manifest);
-      if (Status s = writer->Write(manifest, shards); !s.ok()) return s;
+  BlockReader reader(f, source_name);
+  Sequencer sequencer(source_name, timestamped, resume, options_, shards,
+                      engine, router, writer);
+  // Workers parse blocks [taken, read); the producer keeps the ring full
+  // and takes the oldest back. An error returns from this loop and
+  // ~Engine stops and joins the workers.
+  uint64_t read = 0;
+  uint64_t taken = 0;
+  for (;;) {
+    while (read - taken < jobs.size() &&
+           reader.Next(jobs[read % jobs.size()])) {
+      engine.SubmitParse(jobs[read % jobs.size()], read);
+      ++read;
     }
+    if (taken == read) break;
+    ParseJob& job = jobs[taken++ % jobs.size()];
+    engine.AwaitParsed(job);
+    if (Status s = sequencer.Take(job); !s.ok()) return s;
   }
-  if (!reader.status().ok()) return reader.status();
+  if (Status s = sequencer.Finish(reader); !s.ok()) return s;
   router.FinishStream();
   auto report = AssembleReport(begin, engine.Finish());
   if (writer != nullptr) {

@@ -132,6 +132,11 @@ class ShardedStreamDriver {
     uint64_t memory_probe_every = 16;
   };
 
+  /// Bytes of input per parse job in DriveLines: the producer reads this
+  /// many bytes (a carried partial line included) and cuts the block
+  /// after its last newline.
+  static constexpr size_t kParseBlockBytes = 16 * 1024;
+
   ShardedStreamDriver() : ShardedStreamDriver(Options{}) {}
   explicit ShardedStreamDriver(const Options& options);
 
