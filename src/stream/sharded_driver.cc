@@ -233,14 +233,21 @@ class ShardedStreamDriver::Engine {
     queues_[block % queues_.size()]->Push(std::move(msg));
   }
 
+  /// Parses `job` on the calling thread unless a worker claimed it.
+  static void TryParse(ParseJob& job) {
+    if (!job.Claim()) return;
+    job.Parse();
+    job.state.store(ParseJob::kParsed, std::memory_order_relaxed);
+  }
+
+  static bool Parsed(const ParseJob& job) {
+    return job.state.load(std::memory_order_acquire) == ParseJob::kParsed;
+  }
+
   /// Returns once `job` is parsed. A job no worker has claimed yet is
   /// parsed right here: the producer would only wait for it otherwise.
   void AwaitParsed(ParseJob& job) {
-    if (job.Claim()) {
-      job.Parse();
-      job.state.store(ParseJob::kParsed, std::memory_order_relaxed);
-      return;
-    }
+    TryParse(job);
     std::unique_lock<std::mutex> lock(parse_mu_);
     parse_cv_.wait(lock, [&] {
       return job.state.load(std::memory_order_acquire) == ParseJob::kParsed;
@@ -816,7 +823,13 @@ Result<ShardedDriveReport> ShardedStreamDriver::DriveLines(
       ++read;
     }
     if (taken == read) break;
+    // While a worker still parses the oldest block, the producer parses
+    // later blocks no worker has claimed yet instead of waiting idle.
     ParseJob& job = jobs[taken++ % jobs.size()];
+    for (uint64_t later = taken; later < read && !Engine::Parsed(job);
+         ++later) {
+      Engine::TryParse(jobs[later % jobs.size()]);
+    }
     engine.AwaitParsed(job);
     if (Status s = sequencer.Take(job); !s.ok()) return s;
   }

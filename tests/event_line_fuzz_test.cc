@@ -8,9 +8,10 @@
 // DriveLines on a temporary file, where the producer cuts blocks at
 // newlines and worker threads parse them. With and without timestamps,
 // both must deliver the same events or fail with the same message. One
-// mutant in four grows past several parse blocks so that seams and
-// carried lines see mutated bytes too. The seeds are fixed, so every run
-// checks the same mutants; a failure names the seed and the mutant.
+// mutant in four starts from corpus entries that stay valid when repeated,
+// joined past several parse blocks, so that seams and carried lines see
+// mutated bytes too. The seeds are fixed, so every run checks the same
+// mutants; a failure names the seed and the mutant.
 
 #include <gtest/gtest.h>
 
@@ -55,13 +56,22 @@ std::vector<std::string> LoadCorpus() {
   return corpus;
 }
 
-std::string Mutant(Rng& rng, const std::vector<std::string>& corpus) {
-  std::string text = corpus[rng.UniformIndex(corpus.size())];
-  const bool big = rng.UniformIndex(4) == 0;
-  while (big && text.size() < 3 * ShardedStreamDriver::kParseBlockBytes) {
-    text += corpus[rng.UniformIndex(corpus.size())];
+/// A mutant of a random corpus entry, or, one time in four, of entries
+/// from `repeatable` joined until the text spans several parse blocks.
+/// Those bases parse cleanly, and get few edits, so the grown mutants
+/// fail at scattered places, often in a late block, or not at all.
+std::string Mutant(Rng& rng, const std::vector<std::string>& corpus,
+                   const std::vector<std::string>& repeatable) {
+  const bool big = !repeatable.empty() && rng.UniformIndex(4) == 0;
+  std::string text;
+  if (big) {
+    while (text.size() < 3 * ShardedStreamDriver::kParseBlockBytes) {
+      text += repeatable[rng.UniformIndex(repeatable.size())] + "\n";
+    }
+  } else {
+    text = corpus[rng.UniformIndex(corpus.size())];
   }
-  const uint64_t edits = 1 + rng.UniformIndex(big ? 64 : 8);
+  const uint64_t edits = 1 + rng.UniformIndex(big ? 4 : 8);
   for (uint64_t e = 0; e < edits; ++e) {
     const size_t at = rng.UniformIndex(text.size() + 1);
     const char c = kAlphabet[rng.UniformIndex(kAlphabet.size())];
@@ -75,7 +85,8 @@ std::string Mutant(Rng& rng, const std::vector<std::string>& corpus) {
       case 2: {  // splice from another entry
         const std::string& from = corpus[rng.UniformIndex(corpus.size())];
         const size_t begin = rng.UniformIndex(from.size());
-        text.insert(at, from, begin, 1 + rng.UniformIndex(from.size() - begin));
+        text.insert(at, from, begin,
+                    1 + rng.UniformIndex(from.size() - begin));
         break;
       }
       default:  // delete
@@ -112,15 +123,16 @@ Outcome DriveSharded(const std::string& text, bool timestamped) {
   options.partition = ShardPartition::kChunks;
   std::FILE* f = TempFileWith(text);
   if (f == nullptr) return Outcome{Status::InvalidArgument("tmpfile"), {}};
-  auto report = ShardedStreamDriver(options).DriveLines(f, kSource,
-                                                        timestamped, pointers);
+  auto report = ShardedStreamDriver(options).DriveLines(
+      f, kSource, timestamped, pointers);
   std::fclose(f);
   Outcome out{report.status(), {}};
   for (size_t run = 0;; ++run) {
     const auto& batches = shards[run % 2].batches();
     if (run / 2 >= batches.size()) break;
     for (const Item& item : batches[run / 2]) {
-      out.events.push_back(Item{item.value, out.events.size(), item.timestamp});
+      out.events.push_back(
+          Item{item.value, out.events.size(), item.timestamp});
     }
   }
   return out;
@@ -128,15 +140,30 @@ Outcome DriveSharded(const std::string& text, bool timestamped) {
 
 class EventLineFuzzTest : public ::testing::TestWithParam<uint64_t> {};
 
+/// The corpus entries that still parse when repeated back to back.
+std::vector<std::string> Repeatable(const std::vector<std::string>& corpus,
+                                    bool timestamped) {
+  std::vector<std::string> out;
+  for (const std::string& entry : corpus) {
+    if (DriveSingle(entry + "\n" + entry, timestamped).status.ok()) {
+      out.push_back(entry);
+    }
+  }
+  return out;
+}
+
 TEST_P(EventLineFuzzTest, SingleAndShardedFrontEndsAgree) {
   const std::vector<std::string> corpus = LoadCorpus();
   ASSERT_GE(corpus.size(), 8u);
   Rng rng(GetParam());
   uint64_t failures = 0;
   uint64_t successes = 0;
-  for (uint64_t m = 0; m < kMutantsPerSeed; ++m) {
-    const std::string text = Mutant(rng, corpus);
-    for (bool timestamped : {false, true}) {
+  for (bool timestamped : {false, true}) {
+    const std::vector<std::string> repeatable =
+        Repeatable(corpus, timestamped);
+    ASSERT_FALSE(repeatable.empty());
+    for (uint64_t m = 0; m < kMutantsPerSeed; ++m) {
+      const std::string text = Mutant(rng, corpus, repeatable);
       SCOPED_TRACE("mutant " + std::to_string(m) + " (" +
                    std::to_string(text.size()) + " bytes), " +
                    (timestamped ? "timestamped" : "sequence"));
@@ -152,8 +179,8 @@ TEST_P(EventLineFuzzTest, SingleAndShardedFrontEndsAgree) {
     }
   }
   // The mutants reach both outcomes.
-  EXPECT_GT(successes, kMutantsPerSeed / 4);
-  EXPECT_GT(failures, kMutantsPerSeed / 4);
+  EXPECT_GT(successes, kMutantsPerSeed / 2);
+  EXPECT_GT(failures, kMutantsPerSeed / 2);
 }
 
 INSTANTIATE_TEST_SUITE_P(FixedSeeds, EventLineFuzzTest,

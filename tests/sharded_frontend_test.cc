@@ -558,6 +558,45 @@ TEST_P(SeamErrorTest, EarlierOfTwoBadBlocksWins) {
                   timestamped_);
 }
 
+TEST_P(SeamErrorTest, CheckpointsBeforeAnErrorStillLand) {
+  // The failing line ends block 4 and the one checkpoint falls between the
+  // block's first event and it: the events before the failing line are
+  // routed first, so that checkpoint is written as without the error.
+  const auto bad = LineBefore(base_, starts_[5], 1);
+  const std::string text = Replace(base_, bad, "x");
+  const std::vector<Item> events =
+      ReadEvents(std::string_view(text).substr(0, bad.first), kSource,
+                 timestamped_)
+          .ValueOrDie();
+  const uint64_t block_start =
+      ReadEvents(std::string_view(text).substr(0, starts_[4]), kSource,
+                 timestamped_)
+          .ValueOrDie()
+          .size();
+  const uint64_t every = block_start + (events.size() - block_start) / 2;
+  ASSERT_GT(every, block_start);
+  const SinkSpec spec = SpecFor(timestamped_);
+  for (ShardPartition partition :
+       {ShardPartition::kChunks, ShardPartition::kKeyHash}) {
+    const ShardedStreamDriver driver(OptionsFor(partition, 3));
+    FreshShards reference(spec);
+    ASSERT_TRUE(driver.Drive(events, reference.pointers).ok());
+    FreshShards parallel(spec);
+    std::vector<Captured> captured;
+    const std::string dir = ::testing::TempDir() + "/frontend_error_ckpt";
+    auto writer = CapturingWriter(
+        dir, every, MakeSinkSerializers(spec, kShards).ValueOrDie(), 0,
+        parallel, &captured);
+    auto got = DriveText(driver, text, timestamped_, parallel.pointers,
+                         writer.get());
+    EXPECT_EQ(got.status().ToString(),
+              ReadEvents(text, kSource, timestamped_).status().ToString());
+    ExpectModelCheckpoints(captured, events, 0, every, partition, spec,
+                           reference);
+    fs::remove_all(dir);
+  }
+}
+
 TEST_P(SeamErrorTest, ReplayEndingBeforeTheCheckpoint) {
   const size_t events =
       ReadEvents(base_, kSource, timestamped_).ValueOrDie().size();
