@@ -1,8 +1,8 @@
 // Copyright (c) swsample authors. Licensed under the MIT license.
 //
 // The sharded ingestion engine (see sharded_driver.h for the data-flow
-// picture). One bounded SPSC queue per worker thread carries routed
-// chunks; the producer blocks on a full queue (backpressure), workers
+// picture). One bounded queue per worker thread carries routed chunks and
+// parse jobs; the producer blocks on a full queue (backpressure), workers
 // re-index each chunk into their shard's local stream before pumping it,
 // and joining the workers is the synchronization point that makes
 // post-drive shard queries race-free.
@@ -47,8 +47,8 @@ uint64_t MixKey(uint64_t value) {
 /// One block of complete event lines and what a worker parsed from it.
 /// The producer fills `bytes`, hands the job to a worker, and reads the
 /// results back once it is parsed (Engine::AwaitParsed). Whoever claims
-/// the job first parses it: its worker, or the producer when it needs the
-/// job before the worker got to it.
+/// the job first parses it: its worker, or the producer when the worker
+/// has not started it by the time the producer would otherwise wait.
 struct ParseJob {
   enum State { kQueued, kParsing, kParsed };
 
@@ -89,9 +89,11 @@ struct ParseJob {
     Item scratch[64];
     LineParse ignored = LineParse::kOk;
     while (events > 0) {
-      events -= ScanEventLines(
+      const size_t got = ScanEventLines(
           bytes.data() + size, /*final=*/true, timestamped, cursor,
           std::span<Item>(scratch, std::min<uint64_t>(events, 64)), &ignored);
+      if (got == 0) break;  // fewer events than asked for
+      events -= got;
     }
     return cursor.line_no;
   }
@@ -110,8 +112,9 @@ struct ParseJob {
 
 /// One routed unit of work. kSpan references producer-owned storage (the
 /// zero-copy path of Drive over a materialized stream); kOwned moves the
-/// storage through the queue; kBarrier is the checkpoint quiesce token
-/// (the worker acknowledges it after draining everything before it).
+/// storage through the queue; kParse asks for `job` to be parsed;
+/// kBarrier is the checkpoint quiesce token (the worker acknowledges it
+/// after draining everything before it).
 struct Msg {
   enum class Kind { kSpan, kOwned, kAdvance, kParse, kBarrier, kStop };
   Kind kind = Kind::kStop;
@@ -249,9 +252,7 @@ class ShardedStreamDriver::Engine {
   void AwaitParsed(ParseJob& job) {
     TryParse(job);
     std::unique_lock<std::mutex> lock(parse_mu_);
-    parse_cv_.wait(lock, [&] {
-      return job.state.load(std::memory_order_acquire) == ParseJob::kParsed;
-    });
+    parse_cv_.wait(lock, [&] { return Parsed(job); });
   }
 
   /// Drains every queue: pushes one barrier per worker and blocks until

@@ -3,16 +3,29 @@
 /// \file
 /// Sharded multi-threaded ingestion engine: partitions an incoming stream
 /// across N worker threads, each pumping its own CreateSink-built
-/// StreamSink replica over a bounded SPSC chunk queue with backpressure.
+/// StreamSink replica through a bounded per-worker message queue (a
+/// mutex/condvar deque, one producer and one consumer) with backpressure.
 ///
-/// Data flow (the reactor-per-thread fan-out shape):
+/// Data flow (the reactor-per-thread fan-out shape). Text input (DriveLines)
+/// adds a parse stage that runs on the same workers:
 ///
 ///   producer (caller thread)                    workers (one thread each)
 ///   ------------------------                    -------------------------
-///   slice/partition stream into chunks   --->   pop chunk from own queue
-///   route chunk to shard s               SPSC   re-index items for shard s
-///   push onto worker (s % threads)      queues  sinks[s]->ObserveBatch(...)
-///   block while that queue is full  (backpressure)   account items/memory
+///   text: read a 16 KiB block, cut it   --->    parse job: ScanEventLines
+///     after its last newline, carry     queue   over the block (indices
+///     the partial line to the next      of      and sequence timestamps
+///     block; send it as a parse job     block   count from 0 in the
+///     (2 per worker in flight)          % thr   block)
+///   take parsed blocks back in order   <---     mark the job parsed
+///     (parse one itself rather than
+///     wait when no worker claimed it);
+///     number the events, check clocks
+///     across seams, skip resumed ones
+///   slice/partition events into chunks --->    pop chunk from own queue
+///   route chunk to shard s              queue   re-index items for shard s
+///   push onto worker (s % threads)      of      sinks[s]->ObserveBatch(...)
+///   block while that queue is full      s % thr   account items/memory
+///     (backpressure)
 ///
 /// Partitioning:
 ///  * kChunks — round-robin contiguous chunks. The right mode for
@@ -53,9 +66,15 @@
 /// workers. Shard sinks must NOT be touched by the caller while a Drive*
 /// call is in flight.
 ///
-/// Text input goes through the same EventReader as StreamDriver (see
-/// stream/driver.h): the producer reads fixed-size blocks and parses them
-/// in place, then routes the items.
+/// Text input is parsed with the grammar StreamDriver's EventReader uses
+/// (ScanEventLines, stream/driver.h), block by block on the workers, and
+/// the producer puts the blocks back in stream order before it routes
+/// them. Reading stays sequential, so stdin and pipes are parsed in
+/// parallel as well as files. Routing runs in runs up to the next chunk
+/// or checkpoint boundary, so chunk segmentation, checkpoint positions,
+/// manifests and shard states are the ones a one-line-at-a-time producer
+/// would give, and errors come out in stream order with EventReader's
+/// messages.
 ///
 /// Status conventions: option and shard-set validation errors come back
 /// as InvalidArgument from Drive*; open, read and parse errors propagate
@@ -117,7 +136,8 @@ class ShardedStreamDriver {
     /// queue transfer (>= 1).
     uint64_t chunk_items = 4096;
     /// Bounded per-worker queue capacity in chunks (>= 1); the producer
-    /// blocks while a worker's queue is full (backpressure).
+    /// blocks while a worker's queue is full (backpressure). DriveLines'
+    /// parse jobs take places in the same queues.
     uint64_t queue_chunks = 16;
     ShardPartition partition = ShardPartition::kChunks;
     /// kKeyHash routing hashes `item.value >> key_shift`, mirroring the
@@ -150,8 +170,9 @@ class ShardedStreamDriver {
   Result<ShardedDriveReport> Drive(std::span<const Item> items,
                                    std::span<StreamSink* const> shards) const;
 
-  /// Feeds a text stream read by EventReader (stream/driver.h: grammar
-  /// and errors there).
+  /// Feeds a text stream in EventReader's grammar and with its errors
+  /// (stream/driver.h), parsed block by block on the worker threads (see
+  /// the file comment). `f` is read sequentially, so a pipe works too.
   ///
   /// Crash recovery: `writer` (nullable = disabled) writes periodic
   /// checkpoints; a non-null `resume` skips the events of the replayed
