@@ -57,8 +57,7 @@ struct ParseJob {
   /// True for exactly one caller per submission.
   bool Claim() {
     int queued = kQueued;
-    return state.compare_exchange_strong(queued, kParsing,
-                                         std::memory_order_acquire);
+    return state.compare_exchange_strong(queued, kParsing);
   }
 
   /// Runs the event-line grammar over [0, size). Indices count events
@@ -106,7 +105,8 @@ struct ParseJob {
   uint64_t lines = 0;       ///< lines scanned, up to a failing one
   uint64_t first_line = 0;  ///< line of the first event, if count > 0
   LineParse failure = LineParse::kOk;
-  /// kParsed is stored under the engine's parse mutex.
+  /// Claimed by compare-exchange; kParsed is stored under the engine's
+  /// parse mutex, which AwaitParsed waits on.
   std::atomic<int> state{kParsed};
 };
 
@@ -229,22 +229,28 @@ class ShardedStreamDriver::Engine {
   /// Queues `job` for a worker to parse; jobs go round-robin by `block`.
   /// The producer leaves the job alone until AwaitParsed returns it.
   void SubmitParse(ParseJob& job, uint64_t block) {
-    job.state.store(ParseJob::kQueued, std::memory_order_release);
+    job.state = ParseJob::kQueued;
     Msg msg;
     msg.kind = Msg::Kind::kParse;
     msg.job = &job;
     queues_[block % queues_.size()]->Push(std::move(msg));
   }
 
-  /// Parses `job` on the calling thread unless a worker claimed it.
-  static void TryParse(ParseJob& job) {
+  /// Parses `job` on the calling thread unless another thread claimed
+  /// it first. Workers call this for each job they pop; the producer for
+  /// jobs it would otherwise wait for.
+  void TryParse(ParseJob& job) {
     if (!job.Claim()) return;
     job.Parse();
-    job.state.store(ParseJob::kParsed, std::memory_order_relaxed);
+    {
+      std::lock_guard<std::mutex> lock(parse_mu_);
+      job.state = ParseJob::kParsed;
+    }
+    parse_cv_.notify_one();
   }
 
   static bool Parsed(const ParseJob& job) {
-    return job.state.load(std::memory_order_acquire) == ParseJob::kParsed;
+    return job.state == ParseJob::kParsed;
   }
 
   /// Returns once `job` is parsed. A job no worker has claimed yet is
@@ -359,14 +365,7 @@ class ShardedStreamDriver::Engine {
         case Msg::Kind::kParse:
           // A job the producer claimed first, and perhaps already
           // resubmitted for a later block, is not this message's to parse.
-          if (!msg.job->Claim()) break;
-          msg.job->Parse();
-          {
-            std::lock_guard<std::mutex> lock(parse_mu_);
-            msg.job->state.store(ParseJob::kParsed,
-                                 std::memory_order_release);
-          }
-          parse_cv_.notify_one();
+          TryParse(*msg.job);
           break;
         case Msg::Kind::kSpan: {
           // Re-index into the shard's local stream; values and timestamps
@@ -829,7 +828,7 @@ Result<ShardedDriveReport> ShardedStreamDriver::DriveLines(
     ParseJob& job = jobs[taken++ % jobs.size()];
     for (uint64_t later = taken; later < read && !Engine::Parsed(job);
          ++later) {
-      Engine::TryParse(jobs[later % jobs.size()]);
+      engine.TryParse(jobs[later % jobs.size()]);
     }
     engine.AwaitParsed(job);
     if (Status s = sequencer.Take(job); !s.ok()) return s;
