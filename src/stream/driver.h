@@ -171,8 +171,8 @@ struct LineCursor {
 /// The event-line grammar over one block of text: parses the lines from
 /// cursor.pos up to `end` into `out` as Item{value, index, timestamp},
 /// where index counts events from cursor.index and, when `timestamped` is
-/// false, the timestamp is the index. Lines are split at '\n'; a NUL ends
-/// the parsed part of its line; blank lines are skipped; lines longer
+/// false, the timestamp is the index. Lines end at newlines; a NUL byte
+/// ends the parsed part of its line; blank lines are skipped; lines longer
 /// than EventReader::kMaxLineChars fail; timestamps must not fall below
 /// cursor.last_ts or the event before them.
 ///

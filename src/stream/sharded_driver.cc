@@ -526,20 +526,18 @@ class BlockReader {
   /// ended or a read failed (status()), or the line after the last block
   /// is over-long (carry_too_long()).
   bool Next(ParseJob& job) {
-    if (done_) return false;
+    if (eof_ || carry_too_long_ || !status_.ok()) return false;
     std::copy(carry_.begin(), carry_.end(), job.bytes.begin());
     auto got = ReadBlock(
         file_, std::span<char>(job.bytes).subspan(carry_.size()),
         source_name_, &eof_);
     if (!got.ok()) {
       status_ = got.status();
-      done_ = true;
       return false;
     }
     const size_t size = carry_.size() + got.value();
     carry_.clear();
     if (eof_) {
-      done_ = true;
       job.size = size;
       return size > 0;
     }
@@ -549,7 +547,6 @@ class BlockReader {
     // has to grow.
     if (size - cut > EventReader::kMaxLineChars) {
       carry_too_long_ = true;
-      done_ = true;
     } else {
       carry_.assign(job.bytes.begin() + cut, job.bytes.begin() + size);
     }
@@ -557,7 +554,6 @@ class BlockReader {
     return cut > 0;
   }
 
-  bool done() const { return done_; }
   const Status& status() const { return status_; }
   bool carry_too_long() const { return carry_too_long_; }
 
@@ -566,7 +562,6 @@ class BlockReader {
   const std::string& source_name_;
   std::vector<char> carry_;
   bool eof_ = false;
-  bool done_ = false;
   bool carry_too_long_ = false;
   Status status_;
 };
