@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
@@ -51,6 +52,15 @@ std::vector<size_t> BlockStarts(std::string_view text) {
     starts.push_back(nl + 1);
   }
   return starts;
+}
+
+/// [begin, end) of the line holding byte `offset`, newline excluded.
+std::pair<size_t, size_t> LineAt(std::string_view text, size_t offset) {
+  const size_t nl =
+      offset == 0 ? std::string_view::npos : text.rfind('\n', offset - 1);
+  const size_t end = text.find('\n', offset);
+  return {nl == std::string_view::npos ? 0 : nl + 1,
+          end == std::string_view::npos ? text.size() : end};
 }
 
 /// The fields of one event line: "<value>" or "<timestamp> <value>", with
@@ -307,7 +317,12 @@ class FrontEndTest : public ::testing::TestWithParam<FrontEndParam> {
   void SetUp() override {
     std::tie(partition_, timestamped_, threads_) = GetParam();
     text_ = EventText(17 + threads_, timestamped_, 12 * kBlock);
-    ASSERT_GE(BlockStarts(text_).size(), 12u);
+    const std::vector<size_t> starts = BlockStarts(text_);
+    ASSERT_GE(starts.size(), 12u);
+    // Some block ends with a 254-character line.
+    ASSERT_TRUE(std::any_of(starts.begin() + 1, starts.end(), [&](size_t s) {
+      return LineAt(text_, s - 1).first + EventReader::kMaxLineChars == s - 1;
+    }));
     events_ = ReadEvents(text_, kSource, timestamped_).ValueOrDie();
     spec_ = SpecFor(timestamped_);
     driver_ = std::make_unique<ShardedStreamDriver>(
@@ -421,15 +436,6 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // --- Errors at and next to block seams ------------------------------------
-
-/// [begin, end) of the line holding byte `offset`, newline excluded.
-std::pair<size_t, size_t> LineAt(std::string_view text, size_t offset) {
-  const size_t nl =
-      offset == 0 ? std::string_view::npos : text.rfind('\n', offset - 1);
-  const size_t end = text.find('\n', offset);
-  return {nl == std::string_view::npos ? 0 : nl + 1,
-          end == std::string_view::npos ? text.size() : end};
-}
 
 /// The first line at or after byte `offset` at least `min_len` long.
 std::pair<size_t, size_t> LineFrom(std::string_view text, size_t offset,
