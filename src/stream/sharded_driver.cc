@@ -227,9 +227,12 @@ class ShardedStreamDriver::Engine {
   }
 
   /// Queues `job` for a worker to parse; jobs go round-robin by `block`.
-  /// The producer leaves the job alone until AwaitParsed returns it.
+  /// The producer reads its results only once AwaitParsed returns.
   void SubmitParse(ParseJob& job, uint64_t block) {
-    job.state = ParseJob::kQueued;
+    {
+      std::lock_guard<std::mutex> lock(parse_mu_);
+      job.state = ParseJob::kQueued;
+    }
     Msg msg;
     msg.kind = Msg::Kind::kParse;
     msg.job = &job;
