@@ -3,16 +3,18 @@
 // E19: ingestion front-end micro-benchmarks. Isolates the three stages
 // every byte passes through before any sampler sees an Item -- newline
 // scanning (SWAR word-at-a-time vs byte-at-a-time), event-line parsing
-// (ParseEventSpan with its eight-digit gulp), and the full DriveBuffer
-// pipeline into a null sink -- and reports MB/s per stage. The stage
-// numbers bound how fast any end-to-end ingestion can go; the drive-buffer
-// row shows how close the assembled pipeline gets.
+// (ParseEventSpan with its eight-digit gulp), and the full DriveLines
+// pipeline over an in-memory stream (fmemopen) into a null sink -- and
+// reports MB/s per stage. The stage numbers bound how fast any end-to-end
+// ingestion can go; the drive-buffer row shows how close the assembled
+// pipeline gets.
 //
 // All rows are absolute-throughput micro-measurements, so they are
 // recorded with "gated": 0 -- informational in BENCH.json, never scored
 // by the CI regression gate.
 
 #include <chrono>
+#include <cstdio>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -99,8 +101,9 @@ double SplitThroughput(const std::string& corpus, int reps, uint64_t* lines,
   return corpus.size() * static_cast<double>(reps) / secs / 1e6;
 }
 
-/// Null sink: the cheapest possible consumer, so DriveBuffer's number is
-/// the front-end cost (split + parse + batch assembly), not sampler work.
+/// Null sink: the cheapest possible consumer, so DriveLines' number is the
+/// front-end cost (read + split + parse + batch assembly), not sampler
+/// work.
 class NullSink final : public StreamSink {
  public:
   void Observe(const Item& item) override { checksum_ += item.value; }
@@ -131,7 +134,7 @@ int main() {
     const char* tag = timestamped ? "ts" : "val";
 
     // Stage 1: line splitting, word-at-a-time vs the byte loop memchr
-    // stands in for. (DriveBuffer's scanner also stops at NULs; the
+    // stands in for. (DriveLines' scanner also stops at NULs; the
     // corpus has none, so both see identical lines.)
     uint64_t lines_swar = 0;
     const double swar = SplitThroughput(
@@ -183,7 +186,8 @@ int main() {
       if (checksum == 0) std::fprintf(stderr, "checksum zero?\n");
     }
 
-    // Stage 3: the assembled DriveBuffer pipeline into a null sink.
+    // Stage 3: the assembled DriveLines pipeline, reading the corpus from
+    // memory, into a null sink.
     {
       NullSink sink;
       StreamDriver::Options options;
@@ -191,11 +195,18 @@ int main() {
       options.memory_probe_every = 0;
       const StreamDriver driver(options);
       uint64_t items = 0;
+      std::FILE* f = fmemopen(const_cast<char*>(corpus.data()), corpus.size(),
+                              "r");
+      if (f == nullptr) {
+        std::fprintf(stderr, "fmemopen failed\n");
+        return 1;
+      }
       const auto t0 = std::chrono::steady_clock::now();
-      auto report = driver.DriveBuffer(corpus, "corpus", timestamped, sink);
+      auto report = driver.DriveLines(f, "corpus", timestamped, sink);
       const double secs = Seconds(t0);
+      std::fclose(f);
       if (!report.ok()) {
-        std::fprintf(stderr, "DriveBuffer: %s\n",
+        std::fprintf(stderr, "DriveLines: %s\n",
                      report.status().ToString().c_str());
         return 1;
       }

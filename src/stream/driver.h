@@ -7,12 +7,13 @@
 /// place single-threaded harness code pumps items from — benchmarks,
 /// examples and the CLI share it.
 ///
-/// Text input has exactly one grammar, ScanEventLines below. EventReader
-/// runs it over files, pipes and stdin read in fixed 64 KiB blocks and
-/// over in-memory buffers scanned in place, for DriveLines, DriveFile and
-/// DriveBuffer. The sharded engine (stream/sharded_driver.h) reads its own
-/// blocks cut at newlines and runs the same scan on its worker threads, so
-/// every entry point accepts the same input with the same errors.
+/// Text input has exactly one grammar and one front end
+/// (stream/text_frontend.h): files, pipes and stdin are read in
+/// kTextBlockBytes blocks cut at newlines, parsed block by block and taken
+/// back in stream order. StreamDriver parses each block on the calling
+/// thread; the sharded engine (stream/sharded_driver.h) parses them on its
+/// worker threads. Every entry point accepts the same input with the same
+/// errors.
 ///
 /// Ownership: a driver borrows the sink only for the duration of one
 /// Drive* call and holds no state between calls.
@@ -30,12 +31,11 @@
 #ifndef SWSAMPLE_STREAM_DRIVER_H_
 #define SWSAMPLE_STREAM_DRIVER_H_
 
+#include <cstddef>
 #include <cstdio>
 #include <functional>
 #include <span>
 #include <string>
-#include <string_view>
-#include <vector>
 
 #include "core/api.h"
 #include "stream/checkpoint.h"
@@ -62,8 +62,6 @@ struct DriveReport {
   uint64_t io_retries = 0;
   uint64_t io_giveups = 0;
 };
-
-class EventReader;
 
 /// Drives streams through a sampler or estimator in batches.
 class StreamDriver {
@@ -94,7 +92,10 @@ class StreamDriver {
   /// Progress callback for DriveLines: receives the stream position.
   using ProgressFn = std::function<void(uint64_t items)>;
 
-  /// Feeds a text stream read by EventReader (grammar and errors there).
+  /// Feeds a text stream in the event-line grammar (stream/text_frontend.h),
+  /// read block by block from `f` (borrowed; the caller closes it) and
+  /// parsed on the calling thread; the events go to the sink in
+  /// batch_size runs.
   ///
   /// Crash recovery: `writer` (nullable = disabled) writes periodic
   /// checkpoints; a non-null `resume` skips the events a restored sink
@@ -112,11 +113,6 @@ class StreamDriver {
                                  const ProgressFn& progress = nullptr,
                                  uint64_t progress_every = 0) const;
 
-  /// DriveLines over an in-memory text buffer, parsed in place.
-  Result<DriveReport> DriveBuffer(std::string_view data,
-                                  const std::string& source_name,
-                                  bool timestamped, StreamSink& sink) const;
-
   /// DriveLines over a file path.
   Result<DriveReport> DriveFile(const std::string& path, bool timestamped,
                                 StreamSink& sink) const;
@@ -132,25 +128,28 @@ class StreamDriver {
   /// Shared pump: delivers buffered items, tracks batches + peak memory.
   class Pump;
 
-  /// The one text-ingest body behind DriveLines and DriveBuffer.
-  Result<DriveReport> Ingest(EventReader& reader, StreamSink& sink,
-                             CheckpointWriter* writer,
-                             const CheckpointManifest* resume,
-                             const ProgressFn& progress,
-                             uint64_t progress_every) const;
-
   Options options_;
 };
 
+/// Bytes per block of text input, a carried partial line included: both
+/// drivers read this many, cut the block after its last newline and carry
+/// the rest into the next block. Small enough that the sharded driver's
+/// parse jobs in flight stay cache-sized, large enough that one hand-off
+/// per job is noise next to its parse.
+inline constexpr size_t kTextBlockBytes = 16 * 1024;
+
+/// Longest accepted event line, not counting its terminator.
+inline constexpr size_t kMaxEventLineChars = 254;
+
 /// Allocation-free core of the event-line grammar: how one line failed to
-/// parse, if it did. Error strings are built only for the failing line
-/// (EventLineError) — successfully parsed lines allocate nothing.
+/// parse, if it did. Error strings are built only for the failing line,
+/// so successfully parsed lines allocate nothing.
 enum class LineParse {
   kOk,           ///< *value (and *ts when timestamped) are set
   kBlank,        ///< whitespace-only line; skip it
   kMalformed,    ///< not "<value>" / "<timestamp> <value>"
   kNonMonotone,  ///< timestamp decreased
-  kTooLong,      ///< longer than EventReader::kMaxLineChars (ScanEventLines)
+  kTooLong,      ///< longer than kMaxEventLineChars
 };
 
 /// Parses the event on [begin, end) (one line, no terminator) with a
@@ -159,105 +158,6 @@ enum class LineParse {
 /// optional sign, digits; trailing bytes after the last field ignored.
 LineParse ParseEventSpan(const char* begin, const char* end, bool timestamped,
                          Timestamp last_ts, uint64_t* value, Timestamp* ts);
-
-/// Where a scan over event lines stands; ScanEventLines advances it.
-struct LineCursor {
-  const char* pos = nullptr;  ///< next unscanned byte
-  uint64_t line_no = 0;       ///< lines consumed so far, blank ones too
-  StreamIndex index = 0;      ///< index the next event gets
-  Timestamp last_ts = 0;      ///< the last event's timestamp
-};
-
-/// The event-line grammar over one block of text: parses the lines from
-/// cursor.pos up to `end` into `out` as Item{value, index, timestamp},
-/// where index counts events from cursor.index and, when `timestamped` is
-/// false, the timestamp is the index. Lines end at newlines; a NUL byte
-/// ends the parsed part of its line; blank lines are skipped; lines longer
-/// than EventReader::kMaxLineChars fail; timestamps must not fall below
-/// cursor.last_ts or the event before them.
-///
-/// Stops after the event that fills `out`, when the complete lines run out
-/// or at the first failing line, and returns the events written. `*failure`
-/// is kOk unless a line failed; then the failing line is cursor.line_no.
-/// With `final` false a last line without a newline is left unconsumed
-/// (cursor.pos at its start) for the caller to carry into the next block;
-/// with `final` true it is parsed.
-size_t ScanEventLines(const char* end, bool final, bool timestamped,
-                      LineCursor& cursor, std::span<Item> out,
-                      LineParse* failure);
-
-/// The InvalidArgument a failed line becomes: "source_name:line_no: ...".
-Status EventLineError(LineParse failure, const std::string& source_name,
-                      uint64_t line_no, bool timestamped);
-
-/// The InvalidArgument of a resumed drive whose replayed input disagrees
-/// with the checkpoint at the handoff event on line `line_no`.
-Status ResumeHandoffError(const std::string& source_name, uint64_t line_no);
-
-/// The InvalidArgument of a resumed drive whose replayed input ends
-/// before the checkpoint's `items` ingested events.
-Status ResumeShortError(const std::string& source_name, uint64_t items);
-
-/// Fills `dst` from `f`, retrying EINTR, and returns the bytes read: fewer
-/// than dst.size() only at the end of the file, which sets *eof. A failed
-/// read is an InvalidArgument naming `source_name`.
-Result<size_t> ReadBlock(std::FILE* f, std::span<char> dst,
-                         const std::string& source_name, bool* eof);
-
-/// The one reader of parsed events for StreamDriver. Reads a FILE* in
-/// fixed kBlockBytes refills (carrying a partial last line to the front
-/// of the block) or scans an in-memory buffer in place as one final block,
-/// and yields one Item per event line:
-///  * "<value>" when `timestamped` is false (timestamp := arrival index),
-///    "<timestamp> <value>" with non-decreasing timestamps when true;
-///  * blank (whitespace-only) lines are skipped; a NUL byte ends the
-///    parsed part of its line, which still runs to the next newline;
-///  * a line longer than kMaxLineChars, a malformed line or a decreasing
-///    timestamp is an InvalidArgument naming `source_name:line`;
-///  * a failed read (EINTR is retried) is an InvalidArgument naming
-///    `source_name`.
-/// With a non-null `resume`, the first `resume->items` events are parsed
-/// but not yielded (the input must replay the stream from the start), the
-/// timestamp at the handoff must match the checkpoint's, and yielded
-/// indices continue the checkpoint's numbering.
-class EventReader {
- public:
-  /// Bytes per refill: the reader's whole memory footprint on file input.
-  static constexpr size_t kBlockBytes = 64 * 1024;
-  /// Longest accepted event line, not counting its terminator.
-  static constexpr size_t kMaxLineChars = 254;
-
-  /// Reads `f` (borrowed; the caller closes it) until end of file.
-  EventReader(std::FILE* f, std::string source_name, bool timestamped,
-              const CheckpointManifest* resume = nullptr);
-  /// Scans `data` in place; it must outlive the reader.
-  EventReader(std::string_view data, std::string source_name,
-              bool timestamped, const CheckpointManifest* resume = nullptr);
-
-  /// Parses the next events past the resume point into `out` and returns
-  /// how many. Fewer than out.size() only at the end of the input or at
-  /// the first error; 0 once either is reached — status() tells which.
-  size_t Read(std::span<Item> out);
-
-  /// Ok until a parse, read or resume-handoff error stops the reader.
-  const Status& status() const { return status_; }
-  const std::string& source_name() const { return source_name_; }
-  bool timestamped() const { return timestamped_; }
-
- private:
-  bool Refill();
-
-  std::FILE* file_ = nullptr;  // null when scanning a buffer
-  std::vector<char> block_;    // kBlockBytes when reading a file
-  LineCursor cursor_;          // cursor_.pos: next unscanned byte
-  const char* end_ = nullptr;  // end of the bytes read so far
-  bool eof_ = false;           // nothing follows end_
-  std::string source_name_;
-  bool timestamped_;
-  uint64_t skip_ = 0;          // events already ingested before resume
-  Timestamp resume_ts_ = 0;    // the checkpoint's clock at the handoff
-  Status status_;
-};
 
 }  // namespace swsample
 

@@ -18,6 +18,7 @@
 #include <thread>
 #include <utility>
 
+#include "stream/text_frontend.h"
 #include "util/file_ops.h"
 #include "util/flat_map.h"
 #include "util/macros.h"
@@ -27,10 +28,6 @@ namespace swsample {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/// Small enough that the parse jobs in flight stay cache-sized, large
-/// enough that one hand-off per job is noise next to its parse.
-constexpr size_t kParseBlockBytes = ShardedStreamDriver::kParseBlockBytes;
 
 /// Parse jobs in flight per worker thread: one being parsed, one queued.
 /// Bounds the producer's read-ahead, and so its memory.
@@ -44,15 +41,13 @@ uint64_t MixKey(uint64_t value) {
   return SplitMix64Hash(value + 0x9e3779b97f4a7c15ULL);
 }
 
-/// One block of complete event lines and what a worker parsed from it.
-/// The producer fills `bytes`, hands the job to a worker, and reads the
-/// results back once it is parsed (Engine::AwaitParsed). Whoever claims
-/// the job first parses it: its worker, or the producer when the worker
-/// has not started it by the time the producer would otherwise wait.
-struct ParseJob {
+/// One block of the text front end (stream/text_frontend.h) in flight.
+/// The producer fills it, hands it to a worker, and takes it back once it
+/// is parsed (Engine::AwaitParsed). Whoever claims the job first parses
+/// it: its worker, or the producer when the worker has not started it by
+/// the time the producer would otherwise wait.
+struct ParseJob : TextBlock {
   enum State { kQueued, kParsing, kParsed };
-
-  ParseJob() : bytes(kParseBlockBytes), items(kParseBlockBytes / 16) {}
 
   /// True for exactly one caller per submission.
   bool Claim() {
@@ -60,51 +55,6 @@ struct ParseJob {
     return state.compare_exchange_strong(queued, kParsing);
   }
 
-  /// Runs the event-line grammar over [0, size). Indices count events
-  /// from 0 within the block, and so do timestamps in sequence mode; the
-  /// producer rebases both. The block does not know the timestamp before
-  /// it, so its first event is not checked against it here.
-  void Parse() {
-    const char* const end = bytes.data() + size;
-    LineCursor cursor{bytes.data(), 0, 0, INT64_MIN};
-    // The first event alone, to learn its line: a timestamp decrease
-    // across the seam with the block before is reported there.
-    count = ScanEventLines(end, /*final=*/true, timestamped, cursor,
-                           std::span<Item>(items.data(), 1), &failure);
-    first_line = cursor.line_no;
-    while (failure == LineParse::kOk && cursor.pos != end) {
-      if (count == items.size()) items.resize(2 * items.size());
-      count += ScanEventLines(end, /*final=*/true, timestamped, cursor,
-                              std::span<Item>(items).subspan(count),
-                              &failure);
-    }
-    lines = cursor.line_no;
-  }
-
-  /// The block-relative line of event number `events` (1-based). Rescans
-  /// the block; only an error message needs it.
-  uint64_t LineOfEvent(uint64_t events) const {
-    LineCursor cursor{bytes.data(), 0, 0, INT64_MIN};
-    Item scratch[64];
-    LineParse ignored = LineParse::kOk;
-    while (events > 0) {
-      const size_t got = ScanEventLines(
-          bytes.data() + size, /*final=*/true, timestamped, cursor,
-          std::span<Item>(scratch, std::min<uint64_t>(events, 64)), &ignored);
-      if (got == 0) break;  // fewer events than asked for
-      events -= got;
-    }
-    return cursor.line_no;
-  }
-
-  std::vector<char> bytes;  ///< [0, size) holds whole lines
-  size_t size = 0;
-  bool timestamped = false;
-  std::vector<Item> items;  ///< [0, count) parsed; grows as needed
-  size_t count = 0;
-  uint64_t lines = 0;       ///< lines scanned, up to a failing one
-  uint64_t first_line = 0;  ///< line of the first event, if count > 0
-  LineParse failure = LineParse::kOk;
   /// Claimed by compare-exchange; kParsed is stored under the engine's
   /// parse mutex, which AwaitParsed waits on.
   std::atomic<int> state{kParsed};
@@ -516,180 +466,6 @@ class OwnedRouter {
   bool saw_items_ = false;
 };
 
-/// The producer's reads for DriveLines: fills parse jobs with blocks of
-/// whole lines, carrying each block's partial last line into the next.
-class BlockReader {
- public:
-  BlockReader(std::FILE* f, const std::string& source_name)
-      : file_(f), source_name_(source_name) {
-    carry_.reserve(EventReader::kMaxLineChars);
-  }
-
-  /// Fills `job` with the next block. False when there is none: the input
-  /// ended or a read failed (status()), or the line after the last block
-  /// is over-long (carry_too_long()).
-  bool Next(ParseJob& job) {
-    if (eof_ || carry_too_long_ || !status_.ok()) return false;
-    std::copy(carry_.begin(), carry_.end(), job.bytes.begin());
-    auto got = ReadBlock(
-        file_, std::span<char>(job.bytes).subspan(carry_.size()),
-        source_name_, &eof_);
-    if (!got.ok()) {
-      status_ = got.status();
-      return false;
-    }
-    const size_t size = carry_.size() + got.value();
-    carry_.clear();
-    if (eof_) {
-      job.size = size;
-      return size > 0;
-    }
-    size_t cut = size;
-    while (cut > 0 && job.bytes[cut - 1] != '\n') --cut;
-    // A carry already over the cap is an over-long line, so a block never
-    // has to grow.
-    if (size - cut > EventReader::kMaxLineChars) {
-      carry_too_long_ = true;
-    } else {
-      carry_.assign(job.bytes.begin() + cut, job.bytes.begin() + size);
-    }
-    job.size = cut;
-    return cut > 0;
-  }
-
-  const Status& status() const { return status_; }
-  bool carry_too_long() const { return carry_too_long_; }
-
- private:
-  std::FILE* file_;
-  const std::string& source_name_;
-  std::vector<char> carry_;
-  bool eof_ = false;
-  bool carry_too_long_ = false;
-  Status status_;
-};
-
-/// The producer's half of DriveLines past the reads: takes parsed blocks
-/// back in block order, numbers their events, checks timestamps across
-/// block seams, applies the resume skip and its handoff check, routes the
-/// events in runs and writes checkpoints between runs. Errors come out in
-/// stream order with the messages EventReader gives.
-class Sequencer {
- public:
-  Sequencer(const std::string& source_name, bool timestamped,
-            const CheckpointManifest* resume,
-            const ShardedStreamDriver::Options& options,
-            std::span<StreamSink* const> shards,
-            ShardedStreamDriver::Engine& engine, OwnedRouter& router,
-            CheckpointWriter* writer)
-      : source_name_(source_name),
-        timestamped_(timestamped),
-        options_(options),
-        shards_(shards),
-        engine_(engine),
-        router_(router),
-        writer_(writer) {
-    if (resume != nullptr) {
-      skip_ = resume->items;
-      resume_ts_ = resume->last_ts;
-    }
-  }
-
-  /// Takes the next block in stream order.
-  Status Take(const ParseJob& job) {
-    const std::span<const Item> items(job.items.data(), job.count);
-    if (timestamped_ && !items.empty() &&
-        items.front().timestamp < last_ts_) {
-      return EventLineError(LineParse::kNonMonotone, source_name_,
-                            line_no_ + job.first_line, timestamped_);
-    }
-    const StreamIndex base = index_;
-    uint64_t skipped = 0;
-    if (index_ < skip_) {
-      skipped = std::min<uint64_t>(items.size(), skip_ - index_);
-      if (timestamped_ && skipped > 0 && base + skipped == skip_ &&
-          items[skipped - 1].timestamp != resume_ts_) {
-        return ResumeHandoffError(source_name_,
-                                  line_no_ + job.LineOfEvent(skipped));
-      }
-    }
-    index_ += items.size();
-    if (timestamped_ && !items.empty()) last_ts_ = items.back().timestamp;
-    if (Status s = Route(items.subspan(skipped), base); !s.ok()) return s;
-    line_no_ += job.lines;
-    if (job.failure != LineParse::kOk) {
-      return EventLineError(job.failure, source_name_, line_no_,
-                            timestamped_);
-    }
-    return Status::Ok();
-  }
-
-  /// The end of the input, after the last block; `reader` tells how the
-  /// reads ended.
-  Status Finish(const BlockReader& reader) const {
-    if (reader.carry_too_long()) {
-      return EventLineError(LineParse::kTooLong, source_name_, line_no_ + 1,
-                            timestamped_);
-    }
-    if (!reader.status().ok()) return reader.status();
-    if (index_ < skip_) return ResumeShortError(source_name_, skip_);
-    return Status::Ok();
-  }
-
- private:
-  /// Routes a block's events (block-relative indices, rebased by `base`)
-  /// in runs that end at each item-count checkpoint boundary; the time
-  /// trigger is checked once per block.
-  Status Route(std::span<const Item> items, StreamIndex base) {
-    if (items.empty()) return Status::Ok();
-    const Timestamp ts_base = timestamped_ ? 0 : static_cast<Timestamp>(base);
-    for (size_t i = 0; i < items.size();) {
-      const uint64_t at = base + items[i].index;  // events routed so far
-      const uint64_t due =
-          writer_ == nullptr ? UINT64_MAX : writer_->NextDueItems();
-      const size_t take =
-          due == UINT64_MAX ? items.size() - i
-                            : static_cast<size_t>(std::min<uint64_t>(
-                                  items.size() - i, due > at ? due - at : 1));
-      router_.AddRun(items.subspan(i, take), base, ts_base);
-      i += take;
-      if (due != UINT64_MAX && at + take >= due) {
-        if (Status s = Checkpoint(at + take); !s.ok()) return s;
-      }
-    }
-    if (writer_ != nullptr && writer_->DueByTime()) {
-      return Checkpoint(base + items.back().index + 1);
-    }
-    return Status::Ok();
-  }
-
-  /// Drains the workers so shard sinks are stable, then persists the sinks
-  /// plus the router's un-flushed buffers at `items` routed events.
-  Status Checkpoint(uint64_t items) {
-    engine_.Quiesce();
-    CheckpointManifest manifest;
-    manifest.items = items;
-    manifest.chunk_items = options_.chunk_items;
-    manifest.partition = static_cast<uint64_t>(options_.partition);
-    manifest.shard_items = engine_.LocalIndices();
-    router_.ExportTo(&manifest);
-    return writer_->Write(manifest, shards_);
-  }
-
-  const std::string& source_name_;
-  const bool timestamped_;
-  const ShardedStreamDriver::Options& options_;
-  std::span<StreamSink* const> shards_;
-  ShardedStreamDriver::Engine& engine_;
-  OwnedRouter& router_;
-  CheckpointWriter* const writer_;
-  uint64_t skip_ = 0;        // events already ingested before resume
-  Timestamp resume_ts_ = 0;  // the checkpoint's clock at the handoff
-  StreamIndex index_ = 0;    // events taken so far, skipped ones too
-  uint64_t line_no_ = 0;     // lines of the blocks taken so far
-  Timestamp last_ts_ = 0;    // the last event's timestamp
-};
-
 /// Sums the per-shard reports into the wall-clock total.
 ShardedDriveReport AssembleReport(Clock::time_point begin,
                                   std::vector<ShardReport> shards) {
@@ -807,8 +583,44 @@ Result<ShardedDriveReport> ShardedStreamDriver::DriveLines(
                                         resume->shard_items));
   OwnedRouter router(options_, shards.size(), engine, resume);
   BlockReader reader(f, source_name);
-  Sequencer sequencer(source_name, timestamped, resume, options_, shards,
-                      engine, router, writer);
+  LineSequencer sequencer(source_name, timestamped, resume);
+  // Drains the workers so shard sinks are stable, then persists the sinks
+  // plus the router's un-flushed buffers at `items` routed events.
+  const auto checkpoint = [&](uint64_t items) {
+    engine.Quiesce();
+    CheckpointManifest manifest;
+    manifest.items = items;
+    manifest.chunk_items = options_.chunk_items;
+    manifest.partition = static_cast<uint64_t>(options_.partition);
+    manifest.shard_items = engine.LocalIndices();
+    router.ExportTo(&manifest);
+    return writer->Write(manifest, shards);
+  };
+  // Routes a block's events (block-relative indices, rebased by `base`) in
+  // runs that end at each item-count checkpoint boundary; the time trigger
+  // is checked once per block.
+  const LineSequencer::DeliverFn route =
+      [&](std::span<Item> items, StreamIndex base) -> Status {
+    const Timestamp ts_base = timestamped ? 0 : static_cast<Timestamp>(base);
+    for (size_t i = 0; i < items.size();) {
+      const uint64_t at = base + items[i].index;  // events routed so far
+      const uint64_t due =
+          writer == nullptr ? UINT64_MAX : writer->NextDueItems();
+      const size_t take =
+          due == UINT64_MAX ? items.size() - i
+                            : static_cast<size_t>(std::min<uint64_t>(
+                                  items.size() - i, due > at ? due - at : 1));
+      router.AddRun(items.subspan(i, take), base, ts_base);
+      i += take;
+      if (due != UINT64_MAX && at + take >= due) {
+        if (Status s = checkpoint(at + take); !s.ok()) return s;
+      }
+    }
+    if (writer != nullptr && writer->DueByTime()) {
+      return checkpoint(base + items.back().index + 1);
+    }
+    return Status::Ok();
+  };
   // Workers parse blocks [taken, read); the producer keeps the ring full
   // and takes the oldest back. An error returns from this loop and
   // ~Engine stops and joins the workers.
@@ -829,7 +641,7 @@ Result<ShardedDriveReport> ShardedStreamDriver::DriveLines(
       engine.TryParse(jobs[later % jobs.size()]);
     }
     engine.AwaitParsed(job);
-    if (Status s = sequencer.Take(job); !s.ok()) return s;
+    if (Status s = sequencer.Take(job, route); !s.ok()) return s;
   }
   if (Status s = sequencer.Finish(reader); !s.ok()) return s;
   router.FinishStream();

@@ -7,20 +7,22 @@
 /// mutex/condvar deque, one producer and one consumer) with backpressure.
 ///
 /// Data flow (the reactor-per-thread fan-out shape). Text input (DriveLines)
-/// adds a parse stage that runs on the same workers:
+/// runs the one text front end (stream/text_frontend.h, shared with
+/// StreamDriver) with its parse stage on the same workers:
 ///
 ///   producer (caller thread)                    workers (one thread each)
 ///   ------------------------                    -------------------------
-///   text: read a 16 KiB block, cut it   --->    parse job: ScanEventLines
-///     after its last newline, carry     queue   over the block (indices
-///     the partial line to the next      of      and sequence timestamps
-///     block; send it as a parse job     block   count from 0 in the
+///   read: a kTextBlockBytes block cut   --->    parse: TextBlock::Parse
+///     after its last newline, the       queue   over the block (indices
+///     partial line carried to the       of      and sequence timestamps
+///     next block; sent as a parse job   block   count from 0 in the
 ///     (2 per worker in flight)          % thr   block)
-///   take parsed blocks back in order   <---     mark the job parsed
+///   in order: LineSequencer takes      <---     mark the job parsed
+///     parsed blocks back in order
 ///     (parse one itself rather than
-///     wait when no worker claimed it);
-///     number the events, check clocks
-///     across seams, skip resumed ones
+///     wait when no worker claimed it),
+///     checks clocks across seams,
+///     skips resumed events
 ///   slice/partition events into chunks --->    pop chunk from own queue
 ///   route chunk to shard s              queue   re-index items for shard s
 ///   push onto worker (s % threads)      of      sinks[s]->ObserveBatch(...)
@@ -66,15 +68,13 @@
 /// workers. Shard sinks must NOT be touched by the caller while a Drive*
 /// call is in flight.
 ///
-/// Text input is parsed with the grammar StreamDriver's EventReader uses
-/// (ScanEventLines, stream/driver.h), block by block on the workers, and
-/// the producer puts the blocks back in stream order before it routes
-/// them. Reading stays sequential, so stdin and pipes are parsed in
-/// parallel as well as files. Routing runs in runs up to the next chunk
-/// or checkpoint boundary, so chunk segmentation, checkpoint positions,
-/// manifests and shard states are the ones a one-line-at-a-time producer
-/// would give, and errors come out in stream order with EventReader's
-/// messages.
+/// Text input goes through the front end StreamDriver uses, with its
+/// parse stage on the workers; reading stays sequential, so stdin and
+/// pipes are parsed in parallel as well as files. Routing runs in runs up
+/// to the next chunk or checkpoint boundary, so chunk segmentation,
+/// checkpoint positions, manifests and shard states are the ones a
+/// one-line-at-a-time producer would give, and errors come out in stream
+/// order with StreamDriver's messages.
 ///
 /// Status conventions: option and shard-set validation errors come back
 /// as InvalidArgument from Drive*; open, read and parse errors propagate
@@ -152,11 +152,6 @@ class ShardedStreamDriver {
     uint64_t memory_probe_every = 16;
   };
 
-  /// Bytes of input per parse job in DriveLines: the producer reads this
-  /// many bytes (a carried partial line included) and cuts the block
-  /// after its last newline.
-  static constexpr size_t kParseBlockBytes = 16 * 1024;
-
   ShardedStreamDriver() : ShardedStreamDriver(Options{}) {}
   explicit ShardedStreamDriver(const Options& options);
 
@@ -170,9 +165,9 @@ class ShardedStreamDriver {
   Result<ShardedDriveReport> Drive(std::span<const Item> items,
                                    std::span<StreamSink* const> shards) const;
 
-  /// Feeds a text stream in EventReader's grammar and with its errors
-  /// (stream/driver.h), parsed block by block on the worker threads (see
-  /// the file comment). `f` is read sequentially, so a pipe works too.
+  /// Feeds a text stream in StreamDriver::DriveLines' grammar and with its
+  /// errors, parsed block by block on the worker threads (see the file
+  /// comment). `f` is read sequentially, so a pipe works too.
   ///
   /// Crash recovery: `writer` (nullable = disabled) writes periodic
   /// checkpoints; a non-null `resume` skips the events of the replayed

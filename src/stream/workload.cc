@@ -500,11 +500,14 @@ Status WriteTrace(const std::string& path, std::span<const Item> items) {
   buf.reserve(16 + items.size() * 4);
   buf.append(kTraceMagic, sizeof kTraceMagic);
   PutFixed64(&buf, items.size());
-  Timestamp prev_ts = 0;
+  // Deltas wrap modulo 2^64, so any pair of int64 timestamps encodes; the
+  // bytes are the signed delta's wherever that fits.
+  uint64_t prev_ts = 0;
   for (const Item& item : items) {
+    const uint64_t ts = static_cast<uint64_t>(item.timestamp);
     PutVarint(&buf, item.value);
-    PutVarint(&buf, ZigZag(item.timestamp - prev_ts));
-    prev_ts = item.timestamp;
+    PutVarint(&buf, ZigZag(static_cast<int64_t>(ts - prev_ts)));
+    prev_ts = ts;
   }
   std::FILE* f = std::fopen(path.c_str(), "wb");
   if (f == nullptr) {
@@ -550,7 +553,7 @@ Result<std::vector<Item>> ReadTrace(const std::string& path) {
                                    ": count exceeds payload");
   }
   items.reserve(count);
-  Timestamp prev_ts = 0;
+  uint64_t prev_ts = 0;  // wraps like WriteTrace's deltas
   for (uint64_t i = 0; i < count; ++i) {
     uint64_t value = 0;
     uint64_t delta = 0;
@@ -559,8 +562,8 @@ Result<std::vector<Item>> ReadTrace(const std::string& path) {
                                      ": truncated at item " +
                                      std::to_string(i));
     }
-    prev_ts += UnZigZag(delta);
-    items.push_back(Item{value, i, prev_ts});
+    prev_ts += static_cast<uint64_t>(UnZigZag(delta));
+    items.push_back(Item{value, i, static_cast<Timestamp>(prev_ts)});
   }
   if (p != end) {
     return Status::InvalidArgument("ReadTrace: " + path +

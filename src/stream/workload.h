@@ -164,8 +164,8 @@ class WorkloadGenerator {
   uint64_t churn_phase_ = 0;
 };
 
-/// Writes `items` to `path` in the trace format above. Timestamps must fit
-/// the zigzag delta encoding (any int64 does); indices are dropped.
+/// Writes `items` to `path` in the trace format above. Any int64
+/// timestamps encode: deltas wrap modulo 2^64. Indices are dropped.
 Status WriteTrace(const std::string& path, std::span<const Item> items);
 
 /// Reads a trace written by WriteTrace; indices are regenerated as

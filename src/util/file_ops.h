@@ -83,7 +83,7 @@ void SyncDirectory(const std::string& dir);
 /// fails it with a retryable error.
 Status RemoveFile(const char* site, const std::string& path);
 
-/// Opens `path` for reading (the drivers' EventReader input). Caller
+/// Opens `path` for reading (the drivers' text input). Caller
 /// std::fcloses the handle. Injection at `site` fails the open with a
 /// retryable error.
 Result<std::FILE*> OpenStdioFile(const char* site, const std::string& path);

@@ -3,14 +3,14 @@
 // Seeded mutation fuzzing of the event-line grammar. Mutants of the seed
 // corpus in tests/data/fuzz/event_lines (byte flips, inserted runs of
 // digits, signs, spaces, '\r', '\0' and '\n', splices from other corpus
-// entries, deletions) go through StreamDriver::DriveBuffer, where one
-// EventReader scans the buffer in place, and through the sharded
-// DriveLines on a temporary file, where the producer cuts blocks at
-// newlines and worker threads parse them. With and without timestamps,
-// both must deliver the same events or fail with the same message. One
-// mutant in four starts from corpus entries that stay valid when repeated,
-// joined past several parse blocks, so that seams and carried lines see
-// mutated bytes too. The seeds are fixed, so every run checks the same
+// entries, deletions) go through both drivers' DriveLines on a temporary
+// file: StreamDriver parses the blocks on the calling thread, the sharded
+// driver on its worker threads. With and without timestamps, both must
+// deliver the events of the line-at-a-time reference reading (ReadEvents,
+// tests/text_ingest.h), which shares no block code with them, or fail
+// with its message. One mutant in four starts from corpus entries that
+// stay valid when repeated, joined past several parse blocks, so that
+// seams and carried lines see mutated bytes too. The seeds are fixed, so every run checks the same
 // mutants; a failure names the seed and the mutant.
 
 #include <gtest/gtest.h>
@@ -21,6 +21,7 @@
 #include <fstream>
 #include <iterator>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "stream/driver.h"
@@ -65,7 +66,7 @@ std::string Mutant(Rng& rng, const std::vector<std::string>& corpus,
   const bool big = !repeatable.empty() && rng.UniformIndex(4) == 0;
   std::string text;
   if (big) {
-    while (text.size() < 3 * ShardedStreamDriver::kParseBlockBytes) {
+    while (text.size() < 3 * kTextBlockBytes) {
       text += repeatable[rng.UniformIndex(repeatable.size())] + "\n";
     }
   } else {
@@ -103,12 +104,21 @@ struct Outcome {
   std::vector<Item> events;
 };
 
+Outcome Reference(const std::string& text, bool timestamped) {
+  auto events = ReadEvents(text, kSource, timestamped);
+  if (!events.ok()) return Outcome{events.status(), {}};
+  return Outcome{Status::Ok(), std::move(events.value())};
+}
+
 Outcome DriveSingle(const std::string& text, bool timestamped) {
   RecordingSink sink;
   StreamDriver::Options options;
   options.batch_size = kChunk;
+  std::FILE* f = TempFileWith(text);
+  if (f == nullptr) return Outcome{Status::InvalidArgument("tmpfile"), {}};
   auto report =
-      StreamDriver(options).DriveBuffer(text, kSource, timestamped, sink);
+      StreamDriver(options).DriveLines(f, kSource, timestamped, sink);
+  std::fclose(f);
   return Outcome{report.status(), sink.items()};
 }
 
@@ -145,7 +155,7 @@ std::vector<std::string> Repeatable(const std::vector<std::string>& corpus,
                                     bool timestamped) {
   std::vector<std::string> out;
   for (const std::string& entry : corpus) {
-    if (DriveSingle(entry + "\n" + entry, timestamped).status.ok()) {
+    if (ReadEvents(entry + "\n" + entry, kSource, timestamped).ok()) {
       out.push_back(entry);
     }
   }
@@ -167,11 +177,14 @@ TEST_P(EventLineFuzzTest, SingleAndShardedFrontEndsAgree) {
       SCOPED_TRACE("mutant " + std::to_string(m) + " (" +
                    std::to_string(text.size()) + " bytes), " +
                    (timestamped ? "timestamped" : "sequence"));
+      const Outcome want = Reference(text, timestamped);
       const Outcome single = DriveSingle(text, timestamped);
       const Outcome sharded = DriveSharded(text, timestamped);
-      ASSERT_EQ(sharded.status.ToString(), single.status.ToString());
-      if (single.status.ok()) {
-        ASSERT_EQ(sharded.events, single.events);
+      ASSERT_EQ(single.status.ToString(), want.status.ToString());
+      ASSERT_EQ(sharded.status.ToString(), want.status.ToString());
+      if (want.status.ok()) {
+        ASSERT_EQ(single.events, want.events);
+        ASSERT_EQ(sharded.events, want.events);
         ++successes;
       } else {
         ++failures;

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <string>
@@ -36,10 +37,12 @@
 #include "stream/checkpoint.h"
 #include "stream/driver.h"
 #include "stream/keyed_engine.h"
+#include "stream/sharded_driver.h"
 #include "util/failpoint.h"
 #include "util/file_ops.h"
 #include "util/rng.h"
 #include "util/status.h"
+#include "text_ingest.h"
 #include "workload_steps.h"
 
 namespace swsample {
@@ -613,6 +616,129 @@ TEST_F(FaultInjectionTest, CheckpointLoadFaultsSurfaceAsStatusNotCrash) {
   }
   DisarmFailpoints();
   EXPECT_TRUE(LoadCheckpoint(dir).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Checkpointed drives under checkpoint faults: one sink, and two shards on
+// two threads in kChunks mode.
+
+struct DriveRun {
+  Status status;
+  std::vector<std::string> states;  // each sink's SaveState bytes
+  uint64_t io_retries = 0;
+  uint64_t io_giveups = 0;
+};
+
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Drives `path` checkpointed every 1000 events into `dir`, through
+/// StreamDriver (`shards` == 1) or the sharded driver. `faults`, when not
+/// empty, is armed before the drive or, with `after_first`, once the first
+/// checkpoint is committed.
+DriveRun CheckpointedDrive(const std::string& path, const std::string& dir,
+                           uint64_t shards, const std::string& faults,
+                           bool after_first = false) {
+  const SinkSpec spec =
+      ParseSinkSpec("bop-seq-swor,n=4000,k=4,seed=8").ValueOrDie();
+  std::vector<Sink> sinks = CreateShardedSinks(spec, shards).ValueOrDie();
+  CheckpointPolicy policy;
+  policy.dir = dir;
+  policy.every_items = 1000;
+  policy.retry.backoff_ms = 0.0;
+  CheckpointWriter writer(policy,
+                          MakeSinkSerializers(spec, shards).ValueOrDie());
+  if (!faults.empty() && !after_first) {
+    EXPECT_TRUE(ArmFailpoints(faults, 1).ok()) << faults;
+  } else if (!faults.empty()) {
+    // Runs after every successful Write; a permanent fault fails all
+    // later ones.
+    writer.set_after_write([&faults](uint64_t) {
+      EXPECT_TRUE(ArmFailpoints(faults, 1).ok()) << faults;
+    });
+  }
+  std::FILE* f = std::fopen(path.c_str(), "r");
+  EXPECT_NE(f, nullptr);
+  DriveRun run;
+  if (shards == 1) {
+    auto report = StreamDriver().DriveLines(f, path, false, *sinks[0].sink,
+                                            &writer);
+    run.status = report.status();
+  } else {
+    ShardedStreamDriver::Options options;
+    options.threads = 2;
+    options.chunk_items = 500;
+    options.partition = ShardPartition::kChunks;
+    auto report = ShardedStreamDriver(options).DriveLines(
+        f, path, false, SinkPointers(sinks), &writer);
+    run.status = report.status();
+  }
+  std::fclose(f);
+  DisarmFailpoints();
+  for (const Sink& sink : sinks) run.states.push_back(StateBytes(*sink.sink));
+  run.io_retries = writer.io_retries();
+  run.io_giveups = writer.io_giveups();
+  return run;
+}
+
+TEST_F(FaultInjectionTest, CheckpointedDrivesRetryTransientFaults) {
+  const std::string dir = FreshDir("fi_drive_transient");
+  const std::string path = dir + "/events.txt";
+  {
+    std::ofstream out(path);
+    for (int i = 0; i < 20000; ++i) out << (i * 7919 % 100003) << "\n";
+  }
+  for (uint64_t shards : {1, 2}) {
+    const DriveRun clean =
+        CheckpointedDrive(path, dir + "/clean", shards, "");
+    ASSERT_TRUE(clean.status.ok()) << clean.status.ToString();
+    for (const char* site : {"ckpt.write", "ckpt.manifest"}) {
+      SCOPED_TRACE(std::string(site) + ", " + std::to_string(shards) +
+                   " shard(s)");
+      const std::string faulted_dir = dir + "/faulted";
+      fs::remove_all(faulted_dir);
+      const DriveRun faulted = CheckpointedDrive(
+          path, faulted_dir, shards, std::string(site) + "=enospc,every=3");
+      ASSERT_TRUE(faulted.status.ok()) << faulted.status.ToString();
+      EXPECT_GT(faulted.io_retries, 0u);
+      EXPECT_EQ(faulted.io_giveups, 0u);
+      EXPECT_EQ(faulted.states, clean.states);
+      EXPECT_EQ(FileBytes(faulted_dir + "/MANIFEST"),
+                FileBytes(dir + "/clean/MANIFEST"));
+    }
+    fs::remove_all(dir + "/clean");
+  }
+}
+
+TEST_F(FaultInjectionTest, CheckpointedDrivesFailOnAPermanentOutage) {
+  const std::string dir = FreshDir("fi_drive_outage");
+  const std::string path = dir + "/events.txt";
+  {
+    std::ofstream out(path);
+    for (int i = 0; i < 20000; ++i) out << (i * 7919 % 100003) << "\n";
+  }
+  for (uint64_t shards : {1, 2}) {
+    for (const char* site : {"ckpt.write", "ckpt.manifest"}) {
+      SCOPED_TRACE(std::string(site) + ", " + std::to_string(shards) +
+                   " shard(s)");
+      const std::string ckpt = dir + "/ckpt";
+      fs::remove_all(ckpt);
+      const DriveRun run = CheckpointedDrive(
+          path, ckpt, shards, std::string(site) + "=eio", /*after_first=*/true);
+      EXPECT_EQ(run.status.code(), StatusCode::kUnavailable)
+          << run.status.ToString();
+      EXPECT_EQ(run.io_giveups, 1u);
+      // The drive returned with its workers joined; the checkpoint before
+      // the outage is still the committed one.
+      auto loaded = LoadCheckpoint(ckpt);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_GE(loaded.value().position.items, 1000u);
+      EXPECT_LT(loaded.value().position.items, 3000u);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
 // Copyright (c) swsample authors. Licensed under the MIT license.
 //
-// The sharded driver's parallel text front end against the single-reader
-// path. DriveLines reads blocks cut at newlines, parses them on the worker
-// threads and puts the events back in order before routing them; the
-// reference parses the same bytes with EventReader and routes the parsed
-// span through Drive. For both partition modes, with and without
-// timestamps, at 1-4 threads: every shard must receive the same runs and
-// end in the same state, and every checkpoint must land at the same
-// position with the same manifest and shard bytes, also after a resume
-// from inside a block. Errors at and next to block seams must carry the
-// messages EventReader gives. This binary also runs under TSan.
+// The text front end (stream/text_frontend.h) against the line-at-a-time
+// reference reading. The sharded DriveLines reads blocks cut at newlines,
+// parses them on the worker threads and puts the events back in order
+// before routing them; the reference reads the same bytes one line at a
+// time (ReadEvents, tests/text_ingest.h) and routes the parsed span
+// through Drive. For both partition modes, with and without timestamps,
+// at 1-4 threads: every shard must receive the same runs and end in the
+// same state, and every checkpoint must land at the same position with
+// the same manifest and shard bytes, also after a resume from inside a
+// block. At and next to block seams, the sharded and the single-sink
+// DriveLines must both fail with the reference's error. This binary also
+// runs under TSan.
 
 #include <gtest/gtest.h>
 
@@ -35,7 +37,7 @@ namespace {
 
 namespace fs = std::filesystem;
 
-constexpr size_t kBlock = ShardedStreamDriver::kParseBlockBytes;
+constexpr size_t kBlock = kTextBlockBytes;
 constexpr uint64_t kShards = 4;
 constexpr uint64_t kChunk = 96;
 constexpr uint64_t kEvery = 1237;  // checkpoint cadence, rarely block-aligned
@@ -130,7 +132,7 @@ std::string EventText(uint64_t seed, bool timestamped, size_t bytes) {
       text += '\n';
       std::string line = Fields(rng, timestamped, &clock);
       if (with_cr) line += '\r';
-      line.insert(0, EventReader::kMaxLineChars - line.size(), ' ');
+      line.insert(0, kMaxEventLineChars - line.size(), ' ');
       text += line + "\n";
       block_start = edge;
       pad_edge = false;
@@ -321,7 +323,7 @@ class FrontEndTest : public ::testing::TestWithParam<FrontEndParam> {
     ASSERT_GE(starts.size(), 12u);
     // Some block ends with a 254-character line.
     ASSERT_TRUE(std::any_of(starts.begin() + 1, starts.end(), [&](size_t s) {
-      return LineAt(text_, s - 1).first + EventReader::kMaxLineChars == s - 1;
+      return LineAt(text_, s - 1).first + kMaxEventLineChars == s - 1;
     }));
     events_ = ReadEvents(text_, kSource, timestamped_).ValueOrDie();
     spec_ = SpecFor(timestamped_);
@@ -464,14 +466,31 @@ std::string Replace(std::string text, std::pair<size_t, size_t> line,
   return text.replace(line.first, len, with);
 }
 
-/// The parallel front end must fail on `text` exactly as EventReader
-/// does, for both partition modes at 1-4 threads. `resume` carries the
-/// skip count and handoff clock; the driver's geometry checks are filled
-/// in here.
+/// Both drivers must fail on `text` exactly as the reference reading
+/// does: StreamDriver, and the sharded driver for both partition modes at
+/// 1-4 threads. `resume` carries the skip count and handoff clock; each
+/// driver's geometry checks are filled in here.
 void ExpectSameError(const std::string& text, bool timestamped,
                      const CheckpointManifest* resume = nullptr) {
   const auto want = ReadEvents(text, kSource, timestamped, resume);
   ASSERT_FALSE(want.ok()) << "the reference read succeeded";
+  {
+    CheckpointManifest manifest;
+    if (resume != nullptr) {
+      manifest = *resume;
+      manifest.shard_items = {resume->items};
+    }
+    RecordingSink sink;
+    std::FILE* f = TempFileWith(text);
+    ASSERT_NE(f, nullptr);
+    auto got = StreamDriver().DriveLines(
+        f, kSource, timestamped, sink, nullptr,
+        resume == nullptr ? nullptr : &manifest);
+    std::fclose(f);
+    ASSERT_FALSE(got.ok()) << "single sink";
+    EXPECT_EQ(got.status().ToString(), want.status().ToString())
+        << "single sink";
+  }
   for (ShardPartition partition :
        {ShardPartition::kChunks, ShardPartition::kKeyHash}) {
     CheckpointManifest manifest;
@@ -528,7 +547,7 @@ TEST_P(SeamErrorTest, MalformedLinesAtAndNextToSeams) {
 }
 
 TEST_P(SeamErrorTest, OverlongLinesAtAndAcrossSeams) {
-  const std::string longer(EventReader::kMaxLineChars + 1, '4');
+  const std::string longer(kMaxEventLineChars + 1, '4');
   for (size_t k = 1; k <= 3; ++k) {
     SCOPED_TRACE("seam " + std::to_string(k));
     const size_t edge = starts_[k - 1] + kBlock;
@@ -556,7 +575,7 @@ TEST_P(SeamErrorTest, EarlierOfTwoBadBlocksWins) {
                   timestamped_);
   ExpectSameError(
       Replace(late, LineFrom(late, starts_[2] + 10, 0),
-              std::string(EventReader::kMaxLineChars + 1, '1')),
+              std::string(kMaxEventLineChars + 1, '1')),
       timestamped_);
   // Adjacent blocks: the end of block 1 and the start of block 2.
   const std::string next = Replace(base_, LineFrom(base_, starts_[2], 1), "x");

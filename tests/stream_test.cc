@@ -1,7 +1,7 @@
 // Copyright (c) swsample authors. Licensed under the MIT license.
 //
 // Unit tests for the stream substrate: the workload generator's draw order
-// and distributions, and the drivers' text ingestion (EventReader).
+// and distributions, and the drivers' text ingestion (stream/text_frontend.h).
 
 #include <cstdint>
 #include <cstdio>
@@ -18,8 +18,8 @@
 #include "stream/sharded_driver.h"
 #include "stream/workload.h"
 #include "test_sinks.h"
+#include "text_ingest.h"
 #include "util/rng.h"
-#include "util/serial.h"
 #include "workload_steps.h"
 
 namespace swsample {
@@ -149,12 +149,14 @@ TEST(WorkloadGeneratorTest, SparsePoissonLeavesQuietSteps) {
   EXPECT_GT(stream.QuietSteps(), 1000u);  // e^-0.2 ~ 0.82 of steps are empty
 }
 
-// --- DriveFile (block reads) vs DriveBuffer (one in-memory block) --------
+// --- Both drivers' text front end vs the line-at-a-time reference -------
 //
-// Both go through EventReader: a file is read in kBlockBytes refills with
-// partial lines carried across block edges, a buffer is scanned in place.
-// The two must agree exactly: same items, same final sampler state bit
-// for bit, same errors with the same line numbers.
+// Both drivers read a file in kTextBlockBytes blocks with partial lines
+// carried across block edges. StreamDriver parses the blocks on the
+// calling thread, the sharded driver on its workers. Each must agree
+// exactly with ReadEvents (tests/text_ingest.h), which reads the same bytes
+// one line at a time, driven through Drive: same items, same final sampler
+// states bit for bit, same errors with the same line numbers.
 
 class DriverEquivalenceTest : public ::testing::Test {
  protected:
@@ -170,14 +172,10 @@ class DriverEquivalenceTest : public ::testing::Test {
     std::fclose(f);
   }
 
-  static std::string SamplerStateBytes(WindowSampler& sampler) {
-    BinaryWriter w;
-    sampler.SaveState(&w);
-    return w.Release();
-  }
-
-  /// Runs the same bytes through DriveFile and DriveBuffer on
-  /// same-seeded samplers and requires identical outcomes.
+  /// Runs the same bytes through DriveFile and the sharded
+  /// DriveFileCheckpointed (two shards on two threads) and requires the
+  /// outcomes of the reference events driven through Drive, on
+  /// same-seeded samplers.
   void ExpectEquivalent(const std::string& text, bool timestamped) {
     WriteFile(text);
     SinkSpec config;
@@ -186,28 +184,48 @@ class DriverEquivalenceTest : public ::testing::Test {
     config.window_t = 8;
     config.k = 4;
     config.seed = 42;
+    const auto reference = ReadEvents(text, path_, timestamped);
+
     auto from_file = MakeSampler(config).ValueOrDie();
-    auto from_buffer = MakeSampler(config).ValueOrDie();
-    StreamDriver driver;
-
+    const StreamDriver driver;
     auto file_result = driver.DriveFile(path_, timestamped, *from_file);
-    auto buffer_result =
-        driver.DriveBuffer(text, path_, timestamped, *from_buffer);
+    ShardedStreamDriver::Options options;
+    options.threads = 2;
+    options.chunk_items = 64;
+    const ShardedStreamDriver sharded(options);
+    auto from_file_shards = CreateShardedSinks(config, 2).ValueOrDie();
+    auto sharded_result = sharded.DriveFileCheckpointed(
+        path_, timestamped, SinkPointers(from_file_shards), nullptr, nullptr);
 
-    ASSERT_EQ(file_result.ok(), buffer_result.ok());
-    if (!file_result.ok()) {
-      EXPECT_EQ(file_result.status().message(),
-                buffer_result.status().message());
+    ASSERT_EQ(file_result.ok(), reference.ok());
+    ASSERT_EQ(sharded_result.ok(), reference.ok());
+    if (!reference.ok()) {
+      EXPECT_EQ(file_result.status().ToString(),
+                reference.status().ToString());
+      EXPECT_EQ(sharded_result.status().ToString(),
+                reference.status().ToString());
       return;
     }
+    auto from_reference = MakeSampler(config).ValueOrDie();
+    const DriveReport want = driver.Drive(reference.value(), *from_reference);
     items_ = file_result.value().items;
-    EXPECT_EQ(file_result.value().items, buffer_result.value().items);
-    EXPECT_EQ(file_result.value().batches, buffer_result.value().batches);
-    EXPECT_EQ(SamplerStateBytes(*from_file), SamplerStateBytes(*from_buffer));
+    EXPECT_EQ(file_result.value().items, want.items);
+    EXPECT_EQ(file_result.value().batches, want.batches);
+    EXPECT_EQ(StateBytes(*from_file), StateBytes(*from_reference));
+
+    auto reference_shards = CreateShardedSinks(config, 2).ValueOrDie();
+    ASSERT_TRUE(
+        sharded.Drive(reference.value(), SinkPointers(reference_shards)).ok());
+    EXPECT_EQ(sharded_result.value().total.items, want.items);
+    for (size_t s = 0; s < 2; ++s) {
+      EXPECT_EQ(StateBytes(*from_file_shards[s].sink),
+                StateBytes(*reference_shards[s].sink))
+          << "shard " << s;
+    }
   }
 
   std::string path_;
-  uint64_t items_ = 0;  // delivered by the last equivalent pair of drives
+  uint64_t items_ = 0;  // delivered by the last equivalent drives
 };
 
 /// Appends "1\n" lines (and one blank line for an odd gap) until `text`
@@ -248,29 +266,29 @@ TEST_F(DriverEquivalenceTest, MissingTrailingNewline) {
 
 TEST_F(DriverEquivalenceTest, NulInsideOverlongLineRejectedByBothPaths) {
   // Doubly out-of-grammar garbage: a NUL inside a >254-char line. The
-  // length limit counts the whole line, NUL and all, so both paths reject
-  // it with the same message and line number.
+  // length limit counts the whole line, NUL and all, so every path
+  // rejects it with the same message and line number.
   ExpectEquivalent(
       "1\n" + (std::string("7") + '\0' + std::string(300, 'x')) + "\n2\n",
       /*timestamped=*/false);
 }
 
 TEST_F(DriverEquivalenceTest, OverlongLineAcrossBlockEdgeSameError) {
-  // The over-long line starts right before a block edge, so the file path
-  // finds it while carrying the partial line into the next block.
+  // The over-long line starts right before a block edge, so the drivers
+  // find it while carrying the partial line into the next block.
   std::string text;
-  PadTo(text, EventReader::kBlockBytes - 10);
+  PadTo(text, kTextBlockBytes - 10);
   ExpectEquivalent(text + std::string(300, '7') + "\n2\n",
                    /*timestamped=*/false);
 }
 
 TEST_F(DriverEquivalenceTest, LinesStraddleBlockEdges) {
-  // Several blocks of input. A file block ends where the previous one's
-  // carried partial line ends, so each edge is placed relative to the one
-  // before: a value split between its digits, a "\r\n" split between its
-  // two bytes, a blank line split before its newline, and a line whose
-  // newline is the block's last byte.
-  constexpr size_t kBlock = EventReader::kBlockBytes;
+  // Several blocks of input. A block ends kTextBlockBytes after the start
+  // of the previous one's carried partial line, so each edge is placed
+  // relative to the one before: a value split between its digits, a
+  // "\r\n" split between its two bytes, a blank line split before its
+  // newline, and a line whose newline is the block's last byte.
+  constexpr size_t kBlock = kTextBlockBytes;
   std::string text;
   size_t edge = kBlock;
   PadTo(text, edge - 2);
@@ -300,7 +318,7 @@ TEST_F(DriverEquivalenceTest, LinesStraddleBlockEdges) {
 
 TEST_F(DriverEquivalenceTest, StrayNulTruncatesLineOnBothPaths) {
   // A NUL ends the parsed part of its line (out-of-grammar input, but
-  // both paths must still agree).
+  // every path must still agree).
   ExpectEquivalent(std::string("5\n") + std::string("\0 junk\n", 7) +
                        "6\n" + std::string("7\0 tail\n", 8),
                    /*timestamped=*/false);
@@ -378,15 +396,15 @@ TEST_F(DriverEquivalenceTest, ProgressLeavesSinkStateUnchanged) {
   ASSERT_TRUE(
       drive(*reporting, [&](uint64_t items) { calls.push_back(items); })
           .ok());
-  EXPECT_EQ(SamplerStateBytes(*silent), SamplerStateBytes(*reporting));
+  EXPECT_EQ(StateBytes(*silent), StateBytes(*reporting));
   // The first boundary at or after each multiple of 10000.
   EXPECT_EQ(calls, (std::vector<uint64_t>{10240, 20480, 30720, 40960}));
 }
 
-TEST(EventReaderTest, ReadErrorsFailEveryFileDrive) {
+TEST(TextFrontEndTest, ReadErrorsFailEveryFileDrive) {
   // A directory opens as a FILE* but every read of it fails: each file
   // entry point must report that instead of ending the stream quietly.
-  const std::string dir = ::testing::TempDir() + "/event_reader_dir";
+  const std::string dir = ::testing::TempDir() + "/text_front_end_dir";
   std::filesystem::create_directories(dir);
   SinkSpec config;
   config.name = "bop-seq-swor";
@@ -413,15 +431,18 @@ TEST(EventReaderTest, ReadErrorsFailEveryFileDrive) {
   std::filesystem::remove(dir);
 }
 
-TEST(DriveBufferTest, ParsesDirectlyFromMemory) {
+TEST(TextFrontEndTest, DriveLinesSkipsBlankLines) {
   SinkSpec config;
   config.name = "bop-seq-single";
   config.window_n = 4;
   config.k = 1;
   config.seed = 3;
   auto sampler = MakeSampler(config).ValueOrDie();
-  auto result = StreamDriver().DriveBuffer("10\n20\n\n30\n", "mem",
-                                           /*timestamped=*/false, *sampler);
+  std::FILE* f = TempFileWith("10\n20\n\n30\n");
+  ASSERT_NE(f, nullptr);
+  auto result = StreamDriver().DriveLines(f, "mem", /*timestamped=*/false,
+                                          *sampler);
+  std::fclose(f);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result.value().items, 3u);
 }

@@ -1,12 +1,13 @@
 // Copyright (c) swsample authors. Licensed under the MIT license.
 //
 // Test helpers for text ingestion: a sink that records every delivery,
-// the single-reader reference parse (EventReader over a buffer), and text
-// in an anonymous temporary file for the FILE* drive entry points.
+// the line-at-a-time reference reading both drivers are checked against,
+// and text in an anonymous temporary file for the FILE* drive entry points.
 
 #ifndef SWSAMPLE_TESTS_TEXT_INGEST_H_
 #define SWSAMPLE_TESTS_TEXT_INGEST_H_
 
+#include <algorithm>
 #include <cstdio>
 #include <span>
 #include <string>
@@ -76,18 +77,67 @@ inline std::string StateBytes(const StreamSink& sink) {
   return w.Release();
 }
 
-/// The single-reader path: every event EventReader yields from `text`,
-/// or the status it stopped with.
+/// The reference reading of event text, one line at a time and with no
+/// block code: every event the drivers must deliver from `text`, or the
+/// error they must stop with. Lines end at '\n'; a NUL ends the parsed part
+/// of its line; a line over kMaxEventLineChars fails before it is parsed;
+/// blank lines are skipped; timestamps must not decrease from 0. With a
+/// non-null `resume`, the first resume->items events are read but not
+/// returned, the last of them must carry the checkpoint's timestamp, and
+/// the input must hold at least that many events.
 inline Result<std::vector<Item>> ReadEvents(
     std::string_view text, const std::string& source_name, bool timestamped,
     const CheckpointManifest* resume = nullptr) {
-  EventReader reader(text, source_name, timestamped, resume);
+  const uint64_t skip = resume == nullptr ? 0 : resume->items;
   std::vector<Item> events;
-  std::vector<Item> block(4096);
-  while (const size_t got = reader.Read(block)) {
-    events.insert(events.end(), block.begin(), block.begin() + got);
+  StreamIndex index = 0;
+  Timestamp last_ts = 0;
+  uint64_t line_no = 0;
+  for (size_t pos = 0; pos < text.size();) {
+    const size_t nl = std::min(text.find('\n', pos), text.size());
+    const std::string_view line = text.substr(pos, nl - pos);
+    pos = nl + 1;
+    const std::string where = source_name + ":" + std::to_string(++line_no);
+    if (line.size() > kMaxEventLineChars) {
+      return Status::InvalidArgument(where +
+                                     ": event line too long (limit 254 "
+                                     "characters)");
+    }
+    const std::string_view parsed = line.substr(0, line.find('\0'));
+    uint64_t value = 0;
+    Timestamp ts = 0;
+    switch (ParseEventSpan(parsed.data(), parsed.data() + parsed.size(),
+                           timestamped, last_ts, &value, &ts)) {
+      case LineParse::kBlank:
+        continue;
+      case LineParse::kOk:
+        break;
+      case LineParse::kNonMonotone:
+        return Status::InvalidArgument(where +
+                                       ": timestamps must be non-decreasing");
+      default:
+        return Status::InvalidArgument(
+            where + ": malformed event line (expected " +
+            (timestamped ? "\"<timestamp> <value>\")" : "\"<value>\")"));
+    }
+    if (!timestamped) ts = static_cast<Timestamp>(index);
+    last_ts = ts;
+    if (++index <= skip) {
+      if (index == skip && timestamped && ts != resume->last_ts) {
+        return Status::InvalidArgument(
+            where +
+            ": replayed input does not match the checkpoint (timestamp "
+            "diverges at the resume point)");
+      }
+      continue;
+    }
+    events.push_back(Item{value, index - 1, ts});
   }
-  if (!reader.status().ok()) return reader.status();
+  if (index < skip) {
+    return Status::InvalidArgument(
+        source_name + ": replayed input ends before the checkpoint's " +
+        std::to_string(skip) + " ingested events");
+  }
   return events;
 }
 

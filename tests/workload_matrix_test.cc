@@ -24,7 +24,9 @@
 #include <cstdio>
 #include <cstdlib>
 #include <deque>
+#include <fstream>
 #include <functional>
+#include <iterator>
 #include <map>
 #include <memory>
 #include <set>
@@ -534,6 +536,44 @@ TEST(WorkloadMatrixTest, ReadTraceRejectsCorruption) {
     ASSERT_TRUE(::truncate(path.c_str(), size - 3) == 0);
     EXPECT_FALSE(ReadTrace(path).ok());
   }
+}
+
+/// The bytes of the trace file at `path`.
+std::string FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+TEST(WorkloadMatrixTest, TraceDeltasWrapAtTheInt64Limits) {
+  const std::string path = ::testing::TempDir() + "/limits.trace";
+  // Timestamps whose signed delta overflows int64 round-trip.
+  const std::vector<Item> extremes = {Item{7, 0, INT64_MIN},
+                                      Item{8, 1, INT64_MAX},
+                                      Item{9, 2, INT64_MIN}};
+  ASSERT_TRUE(WriteTrace(path, extremes).ok());
+  EXPECT_EQ(ReadTrace(path).ValueOrDie(), extremes);
+
+  // Where the signed delta fits, the bytes are its zigzag varint: deltas
+  // +5 and -2 are 10 and 3.
+  const std::vector<Item> small = {Item{1, 0, 5}, Item{2, 1, 3}};
+  ASSERT_TRUE(WriteTrace(path, small).ok());
+  EXPECT_EQ(FileBytes(path), std::string("SWSTRC1\n\2\0\0\0\0\0\0\0"
+                                         "\1\x0a\2\3",
+                                         20));
+
+  // A forged file whose two deltas are each INT64_MAX (zigzag 2^64 - 2)
+  // reads back wrapped instead of overflowing.
+  const std::string max_delta = "\xfe\xff\xff\xff\xff\xff\xff\xff\xff\x01";
+  {
+    std::ofstream out(path, std::ios::binary | std::ios::trunc);
+    out << std::string("SWSTRC1\n\2\0\0\0\0\0\0\0", 16) << '\0'
+        << max_delta << '\0' << max_delta;
+  }
+  const std::vector<Item> forged = ReadTrace(path).ValueOrDie();
+  ASSERT_EQ(forged.size(), 2u);
+  EXPECT_EQ(forged[0].timestamp, INT64_MAX);
+  EXPECT_EQ(forged[1].timestamp, -2);
 }
 
 // --- the out-of-order contract ---------------------------------------------
