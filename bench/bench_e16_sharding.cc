@@ -8,10 +8,16 @@
 // estimator (ams-fk over key-hash partitioning). The file rows ingest a
 // generated "<value>" file end to end, parse included: the sharded
 // DriveLines at 2 and 4 threads against one StreamDriver over the same
-// file; their speedup_file_sharded_vs_single is gated in BENCH.json. The
+// file on one CPU (pinned, so it parses on no helper thread); their
+// speedup_file_sharded_vs_single is gated in BENCH.json. An informational
+// row adds the unpinned StreamDriver, which parses on its helper pool. The
 // scaling claim needs real cores: on a 1-core host every multi-thread row
 // collapses to ~1x, so the table prints the detected core count for
 // context.
+
+#if defined(__linux__)
+#include <sched.h>
+#endif
 
 #include <algorithm>
 #include <cstdint>
@@ -165,17 +171,42 @@ std::FILE* GenerateEventFile() {
   return f;
 }
 
-/// items/s of one drive of the whole file: the single-threaded
-/// StreamDriver when `threads` is 0, else the sharded DriveLines with one
-/// shard per thread.
-double FileRate(std::FILE* f, const SinkSpec& config, uint64_t threads) {
+/// items/s of one StreamDriver drive of the whole file.
+double SingleFileRate(std::FILE* f, const SinkSpec& config) {
   std::rewind(f);
-  if (threads == 0) {
-    Sink sink = CreateSink(config).ValueOrDie();
-    auto report = StreamDriver().DriveLines(f, "e16-file", false, *sink.sink);
-    SWS_CHECK(report.ok() && report.value().items == kFileLines);
-    return report.value().items_per_sec;
+  Sink sink = CreateSink(config).ValueOrDie();
+  auto report = StreamDriver().DriveLines(f, "e16-file", false, *sink.sink);
+  SWS_CHECK(report.ok() && report.value().items == kFileLines);
+  return report.value().items_per_sec;
+}
+
+/// SingleFileRate with this thread pinned to the CPU it runs on, so the
+/// driver parses on no helper thread: the one-thread baseline. Unpinned
+/// where the affinity mask cannot be set.
+double OneCpuFileRate(std::FILE* f, const SinkSpec& config) {
+#if defined(__linux__)
+  cpu_set_t mask;
+  const int cpu = sched_getcpu();
+  if (cpu >= 0 && sched_getaffinity(0, sizeof(mask), &mask) == 0) {
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (sched_setaffinity(0, sizeof(one), &one) == 0) {
+      const double rate = SingleFileRate(f, config);
+      SWS_CHECK(sched_setaffinity(0, sizeof(mask), &mask) == 0);
+      return rate;
+    }
   }
+#endif
+  return SingleFileRate(f, config);
+}
+
+/// items/s of one drive of the whole file: the one-thread StreamDriver
+/// when `threads` is 0, else the sharded DriveLines with one shard per
+/// thread.
+double FileRate(std::FILE* f, const SinkSpec& config, uint64_t threads) {
+  if (threads == 0) return OneCpuFileRate(f, config);
+  std::rewind(f);
   auto shards = CreateShardedSinks(config, threads).ValueOrDie();
   ShardedStreamDriver::Options options;
   options.threads = threads;
@@ -190,9 +221,10 @@ double FileRate(std::FILE* f, const SinkSpec& config, uint64_t threads) {
 
 /// File ingestion, parse included: bop-seq-swor from one generated file
 /// through the sharded DriveLines (blocks parsed on the workers) at 2 and
-/// 4 threads against the single-threaded StreamDriver. The three drives
-/// alternate round by round, and each reports its best round, so a slow
-/// stretch of a shared host hits all of them alike.
+/// 4 threads against the one-thread StreamDriver, and the StreamDriver
+/// with its parse helpers. The drives alternate round by round, and each
+/// reports its best round, so a slow stretch of a shared host hits all of
+/// them alike.
 void FileSweep() {
   std::FILE* f = GenerateEventFile();
   SinkSpec config;
@@ -202,14 +234,24 @@ void FileSweep() {
   config.seed = 16;
   const uint64_t thread_counts[] = {0, 2, 4};
   double best[3] = {0.0, 0.0, 0.0};
+  double best_pool = 0.0;
   for (int round = 0; round < kFileRounds; ++round) {
     for (int i = 0; i < 3; ++i) {
       best[i] = std::max(best[i], FileRate(f, config, thread_counts[i]));
     }
+    best_pool = std::max(best_pool, SingleFileRate(f, config));
   }
   std::fclose(f);
   Row({"bop-seq-swor", "file single", F(best[0] / 1e6, 2), "1.00", "1.00",
        "-"});
+  Row({"bop-seq-swor", "file helpers", F(best_pool / 1e6, 2),
+       F(best[0] > 0 ? best_pool / best[0] : 0.0, 2), "-", "-"});
+  BenchReporter::Global().Report(
+      "e16", "file-seq-helpers",
+      {{"gated", 0},
+       {"items_per_sec_single", best[0]},
+       {"items_per_sec_helpers", best_pool},
+       {"helpers_vs_single", best[0] > 0 ? best_pool / best[0] : 0.0}});
   for (int i = 1; i < 3; ++i) {
     const uint64_t threads = thread_counts[i];
     const double speedup = best[0] > 0 ? best[i] / best[0] : 0.0;

@@ -7,7 +7,10 @@
 // pipeline over an in-memory stream (fmemopen) into a null sink -- and
 // reports MB/s per stage. The stage numbers bound how fast any end-to-end
 // ingestion can go; the drive-buffer row shows how close the assembled
-// pipeline gets.
+// pipeline gets. The ring rows time the single-sink read-ahead ring
+// (stream/text_frontend.h) with no helper threads (ring-serial) and with
+// the default helper pool (ring-pool), so the parse pool's speedup has a
+// row of its own.
 //
 // All rows are absolute-throughput micro-measurements, so they are
 // recorded with "gated": 0 -- informational in BENCH.json, never scored
@@ -22,6 +25,7 @@
 
 #include "bench/bench_util.h"
 #include "stream/driver.h"
+#include "stream/text_frontend.h"
 #include "util/bits.h"
 #include "util/rng.h"
 
@@ -213,6 +217,49 @@ int main() {
       items = report.value().items;
       ReportRow(std::string("drive-buffer-") + tag,
                 corpus.size() / secs / 1e6, static_cast<double>(items) / secs);
+    }
+
+    // Stage 4: the single-sink read-ahead ring alone (read, parse, take in
+    // order; no batching, no sink), parsed on the calling thread and on
+    // the default helper pool. The ratio of the two rows is the parse
+    // pool's speedup on this host.
+    for (const size_t helpers : {size_t{0}, DefaultParseHelpers()}) {
+      std::FILE* f = fmemopen(const_cast<char*>(corpus.data()), corpus.size(),
+                              "r");
+      if (f == nullptr) {
+        std::fprintf(stderr, "fmemopen failed\n");
+        return 1;
+      }
+      uint64_t events = 0;
+      uint64_t checksum = 0;
+      const auto t0 = std::chrono::steady_clock::now();
+      const Status status = ParseLines(
+          f, "corpus", timestamped, nullptr,
+          [&](std::span<Item> got, StreamIndex) {
+            for (const Item& item : got) checksum += item.value;
+            events += got.size();
+            return Status::Ok();
+          },
+          helpers);
+      const double secs = Seconds(t0);
+      std::fclose(f);
+      if (!status.ok()) {
+        std::fprintf(stderr, "ParseLines: %s\n", status.ToString().c_str());
+        return 1;
+      }
+      if (checksum == 0) std::fprintf(stderr, "checksum zero?\n");
+      const std::string name = std::string(helpers == 0 ? "ring-serial-"
+                                                        : "ring-pool-") +
+                               tag;
+      const double mb_per_sec = corpus.size() / secs / 1e6;
+      const double lines_per_sec = static_cast<double>(events) / secs;
+      Row({name, F(mb_per_sec, 1), F(lines_per_sec / 1e6, 2), "MB/s|Ml/s"});
+      BenchReporter::Global().Report(
+          "e19", name,
+          {{"gated", 0.0},
+           {"mb_per_sec", mb_per_sec},
+           {"lines_per_sec", lines_per_sec},
+           {"helpers", static_cast<double>(helpers)}});
     }
   }
 

@@ -67,6 +67,16 @@ Status BadSpec(std::string_view text, const std::string& why) {
                                  "\": " + why);
 }
 
+/// `rendered` without the '+' of a positive exponent ("1e+308" becomes
+/// "1e308", which parses the same): '+' separates bias levels.
+std::string WithoutExponentPlus(const char* rendered) {
+  std::string out = rendered;
+  if (const size_t plus = out.find("e+"); plus != std::string::npos) {
+    out.erase(plus + 1, 1);
+  }
+  return out;
+}
+
 /// Renders a double with enough digits to round-trip, trimming the
 /// trailing zeros "%.17g" would keep for simple values like 0.5.
 std::string FormatDouble(double v) {
@@ -79,11 +89,11 @@ std::string FormatDouble(double v) {
       char shorter[64];
       std::snprintf(shorter, sizeof shorter, "%.*g", prec, v);
       if (ParseDoubleToken(shorter, &back) && back == v) {
-        return shorter;
+        return WithoutExponentPlus(shorter);
       }
     }
   }
-  return buf;
+  return WithoutExponentPlus(buf);
 }
 
 /// Parses `window:weight[+window:weight]...` into bias levels.

@@ -180,7 +180,7 @@ Result<DriveReport> StreamDriver::DriveLines(
   StreamSink* const sinks[] = {&sink};
   // Rebases a block's events to the stream and feeds them in batch_size
   // runs. Checkpoints and progress calls happen only at batch boundaries.
-  const LineSequencer::DeliverFn deliver =
+  const DeliverFn deliver =
       [&](std::span<Item> events, StreamIndex base) -> Status {
     for (Item& event : events) {
       event.index += base;
@@ -211,14 +211,11 @@ Result<DriveReport> StreamDriver::DriveLines(
     }
     return Status::Ok();
   };
-  TextBlock block(timestamped);
-  BlockReader reader(f, source_name);
-  LineSequencer sequencer(source_name, timestamped, resume);
-  while (reader.Next(block)) {
-    block.Parse();
-    if (Status s = sequencer.Take(block, deliver); !s.ok()) return s;
+  if (Status s = ParseLines(f, source_name, timestamped, resume, deliver,
+                            DefaultParseHelpers());
+      !s.ok()) {
+    return s;
   }
-  if (Status s = sequencer.Finish(reader); !s.ok()) return s;
   pump.Flush();
   pump.FinishLatencies();
   Finalize(begin, sink, &report);

@@ -10,17 +10,20 @@
 /// Text input has exactly one grammar and one front end
 /// (stream/text_frontend.h): files, pipes and stdin are read in
 /// kTextBlockBytes blocks cut at newlines, parsed block by block and taken
-/// back in stream order. StreamDriver parses each block on the calling
-/// thread; the sharded engine (stream/sharded_driver.h) parses them on its
-/// worker threads. Every entry point accepts the same input with the same
-/// errors.
+/// back in stream order, by one read-ahead ring. StreamDriver parses the
+/// blocks on up to three helper threads of its own (one fewer than the
+/// CPUs the process may run on) and on the calling thread; the sharded
+/// engine (stream/sharded_driver.h) parses them on its worker threads.
+/// Every entry point accepts the same input with the same errors.
 ///
 /// Ownership: a driver borrows the sink only for the duration of one
 /// Drive* call and holds no state between calls.
 ///
 /// Thread-safety: a StreamDriver is immutable after construction and may
 /// be shared across threads, but each Drive* call pumps one sink from the
-/// calling thread — drive a given sink from one thread at a time.
+/// calling thread — drive a given sink from one thread at a time. Parse
+/// helper threads only parse text; the sink, checkpoints and progress
+/// calls stay on the calling thread.
 ///
 /// Status conventions: malformed input returns InvalidArgument through
 /// Result<DriveReport> with "source:line"-prefixed messages (e.g.
@@ -94,8 +97,13 @@ class StreamDriver {
 
   /// Feeds a text stream in the event-line grammar (stream/text_frontend.h),
   /// read block by block from `f` (borrowed; the caller closes it) and
-  /// parsed on the calling thread; the events go to the sink in
-  /// batch_size runs.
+  /// parsed on helper threads, started once a second block is read, and
+  /// on the calling thread. The events go to the sink in stream order and
+  /// batch_size runs, from the calling thread. Reads run up to the
+  /// front end's ring of blocks ahead of delivery: after an error, `f` may
+  /// be past the failing block, and from a live pipe, delivery lags the
+  /// input by up to the ring (two blocks per parsing thread, at most
+  /// 128 KiB).
   ///
   /// Crash recovery: `writer` (nullable = disabled) writes periodic
   /// checkpoints; a non-null `resume` skips the events a restored sink

@@ -10,7 +10,6 @@
 #include "stream/sharded_driver.h"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <deque>
@@ -29,10 +28,6 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Parse jobs in flight per worker thread: one being parsed, one queued.
-/// Bounds the producer's read-ahead, and so its memory.
-constexpr size_t kParseJobsPerWorker = 2;
-
 /// Key-hash partition function: the shared SplitMix64 finalizer
 /// (util/flat_map.h) over a golden-ratio-offset key — bit-identical to
 /// the file-local copy it replaces. Uniform enough that per-shard loads
@@ -40,25 +35,6 @@ constexpr size_t kParseJobsPerWorker = 2;
 uint64_t MixKey(uint64_t value) {
   return SplitMix64Hash(value + 0x9e3779b97f4a7c15ULL);
 }
-
-/// One block of the text front end (stream/text_frontend.h) in flight.
-/// The producer fills it, hands it to a worker, and takes it back once it
-/// is parsed (Engine::AwaitParsed). Whoever claims the job first parses
-/// it: its worker, or the producer when the worker has not started it by
-/// the time the producer would otherwise wait.
-struct ParseJob : TextBlock {
-  enum State { kQueued, kParsing, kParsed };
-
-  /// True for exactly one caller per submission.
-  bool Claim() {
-    int queued = kQueued;
-    return state.compare_exchange_strong(queued, kParsing);
-  }
-
-  /// Claimed by compare-exchange; kParsed is stored under the engine's
-  /// parse mutex, which AwaitParsed waits on.
-  std::atomic<int> state{kParsed};
-};
 
 /// One routed unit of work. kSpan references producer-owned storage (the
 /// zero-copy path of Drive over a materialized stream); kOwned moves the
@@ -177,41 +153,11 @@ class ShardedStreamDriver::Engine {
   }
 
   /// Queues `job` for a worker to parse; jobs go round-robin by `block`.
-  /// The producer reads its results only once AwaitParsed returns.
-  void SubmitParse(ParseJob& job, uint64_t block) {
-    {
-      std::lock_guard<std::mutex> lock(parse_mu_);
-      job.state = ParseJob::kQueued;
-    }
+  void QueueParse(ParseJob& job, uint64_t block) {
     Msg msg;
     msg.kind = Msg::Kind::kParse;
     msg.job = &job;
     queues_[block % queues_.size()]->Push(std::move(msg));
-  }
-
-  /// Parses `job` on the calling thread unless another thread claimed
-  /// it first. Workers call this for each job they pop; the producer for
-  /// jobs it would otherwise wait for.
-  void TryParse(ParseJob& job) {
-    if (!job.Claim()) return;
-    job.Parse();
-    {
-      std::lock_guard<std::mutex> lock(parse_mu_);
-      job.state = ParseJob::kParsed;
-    }
-    parse_cv_.notify_one();
-  }
-
-  static bool Parsed(const ParseJob& job) {
-    return job.state == ParseJob::kParsed;
-  }
-
-  /// Returns once `job` is parsed. A job no worker has claimed yet is
-  /// parsed right here: the producer would only wait for it otherwise.
-  void AwaitParsed(ParseJob& job) {
-    TryParse(job);
-    std::unique_lock<std::mutex> lock(parse_mu_);
-    parse_cv_.wait(lock, [&] { return Parsed(job); });
   }
 
   /// Drains every queue: pushes one barrier per worker and blocks until
@@ -318,7 +264,7 @@ class ShardedStreamDriver::Engine {
         case Msg::Kind::kParse:
           // A job the producer claimed first, and perhaps already
           // resubmitted for a later block, is not this message's to parse.
-          TryParse(*msg.job);
+          msg.job->TryParse();
           break;
         case Msg::Kind::kSpan: {
           // Re-index into the shard's local stream; values and timestamps
@@ -351,8 +297,6 @@ class ShardedStreamDriver::Engine {
   std::mutex barrier_mu_;
   std::condition_variable barrier_cv_;
   uint64_t barrier_acks_ = 0;
-  std::mutex parse_mu_;
-  std::condition_variable parse_cv_;
   bool finished_ = false;
 };
 
@@ -572,18 +516,16 @@ Result<ShardedDriveReport> ShardedStreamDriver::DriveLines(
     }
   }
   const auto begin = Clock::now();
-  // The jobs outlive the engine: on an error exit ~Engine joins workers
-  // that may still be parsing them.
-  std::vector<ParseJob> jobs(kParseJobsPerWorker *
-                             Engine::Workers(options_, shards.size()));
-  for (ParseJob& job : jobs) job.timestamped = timestamped;
+  // The ring outlives the engine: on an error exit ~Engine joins workers
+  // that may still be parsing its jobs.
+  ParseRing ring(
+      kParseJobsPerThread * Engine::Workers(options_, shards.size()),
+      timestamped);
   Engine engine(options_, shards,
                 resume == nullptr ? std::span<const uint64_t>()
                                   : std::span<const uint64_t>(
                                         resume->shard_items));
   OwnedRouter router(options_, shards.size(), engine, resume);
-  BlockReader reader(f, source_name);
-  LineSequencer sequencer(source_name, timestamped, resume);
   // Drains the workers so shard sinks are stable, then persists the sinks
   // plus the router's un-flushed buffers at `items` routed events.
   const auto checkpoint = [&](uint64_t items) {
@@ -599,7 +541,7 @@ Result<ShardedDriveReport> ShardedStreamDriver::DriveLines(
   // Routes a block's events (block-relative indices, rebased by `base`) in
   // runs that end at each item-count checkpoint boundary; the time trigger
   // is checked once per block.
-  const LineSequencer::DeliverFn route =
+  const DeliverFn route =
       [&](std::span<Item> items, StreamIndex base) -> Status {
     const Timestamp ts_base = timestamped ? 0 : static_cast<Timestamp>(base);
     for (size_t i = 0; i < items.size();) {
@@ -621,29 +563,14 @@ Result<ShardedDriveReport> ShardedStreamDriver::DriveLines(
     }
     return Status::Ok();
   };
-  // Workers parse blocks [taken, read); the producer keeps the ring full
-  // and takes the oldest back. An error returns from this loop and
-  // ~Engine stops and joins the workers.
-  uint64_t read = 0;
-  uint64_t taken = 0;
-  for (;;) {
-    while (read - taken < jobs.size() &&
-           reader.Next(jobs[read % jobs.size()])) {
-      engine.SubmitParse(jobs[read % jobs.size()], read);
-      ++read;
-    }
-    if (taken == read) break;
-    // While a worker still parses the oldest block, the producer parses
-    // later blocks no worker has claimed yet instead of waiting idle.
-    ParseJob& job = jobs[taken++ % jobs.size()];
-    for (uint64_t later = taken; later < read && !Engine::Parsed(job);
-         ++later) {
-      engine.TryParse(jobs[later % jobs.size()]);
-    }
-    engine.AwaitParsed(job);
-    if (Status s = sequencer.Take(job, route); !s.ok()) return s;
+  // The engine's workers parse the ring's blocks, queued round-robin.
+  if (Status s = ring.Run(f, source_name, resume, route,
+                          [&engine](ParseJob& job, uint64_t block) {
+                            engine.QueueParse(job, block);
+                          });
+      !s.ok()) {
+    return s;
   }
-  if (Status s = sequencer.Finish(reader); !s.ok()) return s;
   router.FinishStream();
   auto report = AssembleReport(begin, engine.Finish());
   if (writer != nullptr) {

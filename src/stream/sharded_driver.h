@@ -17,10 +17,10 @@
 ///     partial line carried to the       of      and sequence timestamps
 ///     next block; sent as a parse job   block   count from 0 in the
 ///     (2 per worker in flight)          % thr   block)
-///   in order: LineSequencer takes      <---     mark the job parsed
-///     parsed blocks back in order
-///     (parse one itself rather than
-///     wait when no worker claimed it),
+///   in order: the ring takes parsed    <---     mark the job parsed
+///     blocks back in order (parse
+///     one itself rather than wait
+///     when no worker claimed it),
 ///     checks clocks across seams,
 ///     skips resumed events
 ///   slice/partition events into chunks --->    pop chunk from own queue

@@ -1,13 +1,21 @@
 // Copyright (c) swsample authors. Licensed under the MIT license.
 //
-// The event-line grammar and the text front end's three stages (see
-// text_frontend.h). ParseEventSpan is declared in stream/driver.h.
+// The event-line grammar, the text front end's three stages and the
+// read-ahead ring that runs them (see text_frontend.h). ParseEventSpan is
+// declared in stream/driver.h.
 
 #include "stream/text_frontend.h"
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <algorithm>
 #include <cerrno>
+#include <condition_variable>
 #include <cstring>
+#include <mutex>
+#include <thread>
 
 #include "util/bits.h"
 
@@ -249,95 +257,278 @@ void TextBlock::Parse() {
   lines = cursor.line_no;
 }
 
-BlockReader::BlockReader(std::FILE* f, const std::string& source_name)
-    : file_(f), source_name_(source_name) {
-  carry_.reserve(kMaxEventLineChars);
+bool ParseJob::TryParse() {
+  int queued = kQueued;
+  if (!state.compare_exchange_strong(queued, kParsing)) return false;
+  Parse();
+  state = kParsed;
+  state.notify_one();
+  return true;
 }
 
-bool BlockReader::Next(TextBlock& block) {
-  if (eof_ || carry_too_long_ || !status_.ok()) return false;
-  std::copy(carry_.begin(), carry_.end(), block.bytes.begin());
-  auto got = ReadBlock(file_,
-                       std::span<char>(block.bytes).subspan(carry_.size()),
-                       source_name_, &eof_);
-  if (!got.ok()) {
-    status_ = got.status();
-    return false;
-  }
-  const size_t size = carry_.size() + got.value();
-  carry_.clear();
-  if (eof_) {
-    block.size = size;
-    return size > 0;
-  }
-  size_t cut = size;
-  while (cut > 0 && block.bytes[cut - 1] != '\n') --cut;
-  // A carry already over the cap is an over-long line, so a block never
-  // has to grow.
-  if (size - cut > kMaxEventLineChars) {
-    carry_too_long_ = true;
-  } else {
-    carry_.assign(block.bytes.begin() + cut, block.bytes.begin() + size);
-  }
-  block.size = cut;
-  return cut > 0;
+void ParseJob::AwaitParsed() {
+  TryParse();
+  for (int seen = state; seen != kParsed; seen = state) state.wait(seen);
 }
 
-LineSequencer::LineSequencer(const std::string& source_name,
-                             bool timestamped,
-                             const CheckpointManifest* resume)
-    : source_name_(source_name), timestamped_(timestamped) {
-  if (resume != nullptr) {
-    skip_ = resume->items;
-    resume_ts_ = resume->last_ts;
-  }
-}
+namespace {
 
-Status LineSequencer::Take(TextBlock& block, const DeliverFn& deliver) {
-  const std::span<Item> items(block.items.data(), block.count);
-  if (timestamped_ && !items.empty() && items.front().timestamp < last_ts_) {
-    return EventLineError(LineParse::kNonMonotone, source_name_,
-                          line_no_ + block.first_line, timestamped_);
+/// The read stage: fills blocks from a FILE* read sequentially, so pipes
+/// and stdin work too.
+class BlockReader {
+ public:
+  /// `f` and `source_name` are borrowed for the reader's lifetime.
+  BlockReader(std::FILE* f, const std::string& source_name)
+      : file_(f), source_name_(source_name) {
+    carry_.reserve(kMaxEventLineChars);
   }
-  const StreamIndex base = index_;
-  uint64_t skipped = 0;
-  if (index_ < skip_) {
-    skipped = std::min<uint64_t>(items.size(), skip_ - index_);
-    // The clock handoff catches a resume against a different stream.
-    if (timestamped_ && skipped > 0 && base + skipped == skip_ &&
-        items[skipped - 1].timestamp != resume_ts_) {
-      return Status::InvalidArgument(
-          source_name_ + ":" +
-          std::to_string(line_no_ + LineOfEvent(block, skipped)) +
-          ": replayed input does not match the checkpoint (timestamp "
-          "diverges at the resume point)");
+
+  /// Fills `block` with the next block. False when there is none: the
+  /// input ended or a read failed, or the line after the last block is
+  /// over-long (LineSequencer::Finish reports which).
+  bool Next(TextBlock& block) {
+    if (eof_ || carry_too_long_ || !status_.ok()) return false;
+    std::copy(carry_.begin(), carry_.end(), block.bytes.begin());
+    auto got = ReadBlock(file_,
+                         std::span<char>(block.bytes).subspan(carry_.size()),
+                         source_name_, &eof_);
+    if (!got.ok()) {
+      status_ = got.status();
+      return false;
+    }
+    const size_t size = carry_.size() + got.value();
+    carry_.clear();
+    if (eof_) {
+      block.size = size;
+      return size > 0;
+    }
+    size_t cut = size;
+    while (cut > 0 && block.bytes[cut - 1] != '\n') --cut;
+    // A carry already over the cap is an over-long line, so a block never
+    // has to grow.
+    if (size - cut > kMaxEventLineChars) {
+      carry_too_long_ = true;
+    } else {
+      carry_.assign(block.bytes.begin() + cut, block.bytes.begin() + size);
+    }
+    block.size = cut;
+    return cut > 0;
+  }
+
+  const Status& status() const { return status_; }
+  bool carry_too_long() const { return carry_too_long_; }
+
+ private:
+  std::FILE* file_;
+  const std::string& source_name_;
+  std::vector<char> carry_;
+  bool eof_ = false;
+  bool carry_too_long_ = false;
+  Status status_;
+};
+
+/// The in-order stage: takes parsed blocks back in stream order.
+class LineSequencer {
+ public:
+  /// `source_name` is borrowed for the sequencer's lifetime; `resume` as
+  /// for ParseRing::Run.
+  LineSequencer(const std::string& source_name, bool timestamped,
+                const CheckpointManifest* resume)
+      : source_name_(source_name), timestamped_(timestamped) {
+    if (resume != nullptr) {
+      skip_ = resume->items;
+      resume_ts_ = resume->last_ts;
     }
   }
-  index_ += items.size();
-  if (timestamped_ && !items.empty()) last_ts_ = items.back().timestamp;
-  if (skipped < items.size()) {
-    if (Status s = deliver(items.subspan(skipped), base); !s.ok()) return s;
+
+  /// Takes the next block: checks its first timestamp against the block
+  /// before, drops what the resume point covers, delivers the rest and
+  /// then fails on the block's failing line, if it has one, so events
+  /// before an error are delivered first.
+  Status Take(TextBlock& block, const DeliverFn& deliver) {
+    const std::span<Item> items(block.items.data(), block.count);
+    if (timestamped_ && !items.empty() &&
+        items.front().timestamp < last_ts_) {
+      return EventLineError(LineParse::kNonMonotone, source_name_,
+                            line_no_ + block.first_line, timestamped_);
+    }
+    const StreamIndex base = index_;
+    uint64_t skipped = 0;
+    if (index_ < skip_) {
+      skipped = std::min<uint64_t>(items.size(), skip_ - index_);
+      // The clock handoff catches a resume against a different stream.
+      if (timestamped_ && skipped > 0 && base + skipped == skip_ &&
+          items[skipped - 1].timestamp != resume_ts_) {
+        return Status::InvalidArgument(
+            source_name_ + ":" +
+            std::to_string(line_no_ + LineOfEvent(block, skipped)) +
+            ": replayed input does not match the checkpoint (timestamp "
+            "diverges at the resume point)");
+      }
+    }
+    index_ += items.size();
+    if (timestamped_ && !items.empty()) last_ts_ = items.back().timestamp;
+    if (skipped < items.size()) {
+      if (Status s = deliver(items.subspan(skipped), base); !s.ok()) {
+        return s;
+      }
+    }
+    line_no_ += block.lines;
+    if (block.failure != LineParse::kOk) {
+      return EventLineError(block.failure, source_name_, line_no_,
+                            timestamped_);
+    }
+    return Status::Ok();
   }
-  line_no_ += block.lines;
-  if (block.failure != LineParse::kOk) {
-    return EventLineError(block.failure, source_name_, line_no_,
-                          timestamped_);
+
+  /// The end of the input, after the last block; `reader` tells how the
+  /// reads ended.
+  Status Finish(const BlockReader& reader) const {
+    if (reader.carry_too_long()) {
+      return EventLineError(LineParse::kTooLong, source_name_, line_no_ + 1,
+                            timestamped_);
+    }
+    if (!reader.status().ok()) return reader.status();
+    if (index_ < skip_) {
+      return Status::InvalidArgument(
+          source_name_ + ": replayed input ends before the checkpoint's " +
+          std::to_string(skip_) + " ingested events");
+    }
+    return Status::Ok();
   }
-  return Status::Ok();
+
+ private:
+  const std::string& source_name_;
+  const bool timestamped_;
+  uint64_t skip_ = 0;        // events already ingested before resume
+  Timestamp resume_ts_ = 0;  // the checkpoint's clock at the handoff
+  StreamIndex index_ = 0;    // events taken so far, skipped ones too
+  uint64_t line_no_ = 0;     // lines of the blocks taken so far
+  Timestamp last_ts_ = 0;    // the last event's timestamp
+};
+
+/// StreamDriver's parsing threads for one ring. Each parses the newest
+/// queued job it can claim, since the ring's caller parses from the
+/// oldest, and sleeps until the next block is queued when none is left.
+/// The threads start at the second queued block; destruction stops and
+/// joins them.
+class ParseHelpers {
+ public:
+  ParseHelpers(std::span<ParseJob> jobs, size_t threads)
+      : jobs_(jobs), wanted_(threads) {}
+  ParseHelpers(const ParseHelpers&) = delete;
+  ParseHelpers& operator=(const ParseHelpers&) = delete;
+
+  ~ParseHelpers() {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      stop_ = true;
+    }
+    cv_.notify_all();
+    for (std::thread& thread : threads_) thread.join();
+  }
+
+  /// Block `block` was queued.
+  void Queue(uint64_t block) {
+    if (wanted_ == 0) return;
+    if (threads_.empty() && block > 0) {
+      threads_.reserve(wanted_);
+      for (size_t t = 0; t < wanted_; ++t) {
+        threads_.emplace_back([this] { Loop(); });
+      }
+    }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      queued_ = block + 1;
+    }
+    cv_.notify_one();
+  }
+
+ private:
+  void Loop() {
+    uint64_t seen = 0;  // queued_ when this thread last found nothing
+    for (;;) {
+      uint64_t newest = 0;
+      {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock, [&] { return stop_ || queued_ != seen; });
+        if (stop_) return;
+        newest = queued_;
+      }
+      seen = newest;
+      // Blocks older than the ring's depth were taken back already.
+      for (uint64_t b = newest; b > 0 && newest - b < jobs_.size(); --b) {
+        if (jobs_[(b - 1) % jobs_.size()].TryParse()) {
+          seen = 0;  // look again: more blocks may be queued by now
+          break;
+        }
+      }
+    }
+  }
+
+  const std::span<ParseJob> jobs_;
+  const size_t wanted_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  uint64_t queued_ = 0;  // blocks queued so far, under mu_
+  bool stop_ = false;    // under mu_
+  std::vector<std::thread> threads_;
+};
+
+}  // namespace
+
+ParseRing::ParseRing(size_t depth, bool timestamped)
+    : jobs_(depth), timestamped_(timestamped) {
+  for (ParseJob& job : jobs_) job.timestamped = timestamped;
 }
 
-Status LineSequencer::Finish(const BlockReader& reader) const {
-  if (reader.carry_too_long()) {
-    return EventLineError(LineParse::kTooLong, source_name_, line_no_ + 1,
-                          timestamped_);
+Status ParseRing::Run(std::FILE* f, const std::string& source_name,
+                      const CheckpointManifest* resume,
+                      const DeliverFn& deliver, const QueueFn& queue) {
+  BlockReader reader(f, source_name);
+  LineSequencer sequencer(source_name, timestamped_, resume);
+  const uint64_t depth = jobs_.size();
+  uint64_t read = 0;
+  uint64_t taken = 0;
+  for (;;) {
+    while (read - taken < depth && reader.Next(jobs_[read % depth])) {
+      ParseJob& job = jobs_[read % depth];
+      job.state = ParseJob::kQueued;
+      queue(job, read++);
+    }
+    if (taken == read) break;
+    // While the oldest block is not parsed yet, parse queued blocks nobody
+    // has claimed, from the oldest, instead of waiting idle.
+    ParseJob& job = jobs_[taken % depth];
+    for (uint64_t b = taken; b < read && !job.parsed(); ++b) {
+      jobs_[b % depth].TryParse();
+    }
+    job.AwaitParsed();
+    ++taken;
+    if (Status s = sequencer.Take(job, deliver); !s.ok()) return s;
   }
-  if (!reader.status().ok()) return reader.status();
-  if (index_ < skip_) {
-    return Status::InvalidArgument(
-        source_name_ + ": replayed input ends before the checkpoint's " +
-        std::to_string(skip_) + " ingested events");
+  return sequencer.Finish(reader);
+}
+
+size_t DefaultParseHelpers() {
+  size_t cpus = 0;
+#if defined(__linux__)
+  cpu_set_t set;
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    cpus = static_cast<size_t>(CPU_COUNT(&set));
   }
-  return Status::Ok();
+#endif
+  if (cpus == 0) cpus = std::thread::hardware_concurrency();
+  return std::min(cpus > 0 ? cpus - 1 : 0, kMaxParseHelpers);
+}
+
+Status ParseLines(std::FILE* f, const std::string& source_name,
+                  bool timestamped, const CheckpointManifest* resume,
+                  const DeliverFn& deliver, size_t helpers) {
+  ParseRing ring(kParseJobsPerThread * (helpers + 1), timestamped);
+  ParseHelpers pool(ring.jobs(), helpers);
+  return ring.Run(f, source_name, resume, deliver,
+                  [&pool](ParseJob&, uint64_t block) { pool.Queue(block); });
 }
 
 }  // namespace swsample

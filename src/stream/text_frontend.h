@@ -2,21 +2,29 @@
 
 /// \file
 /// The one text front end behind StreamDriver::DriveLines and
-/// ShardedStreamDriver::DriveLines (internal to the two drivers). Text
-/// input passes three stages:
+/// ShardedStreamDriver::DriveLines (internal to the two drivers). Both run
+/// the same read-ahead ring, ParseRing::Run, over a fixed set of parse
+/// jobs, all three stages driven from the calling thread:
 ///
-///   read      BlockReader fills a TextBlock with kTextBlockBytes of input,
-///             cuts it after its last newline and carries the partial last
-///             line into the next block (a carry over kMaxEventLineChars is
-///             an over-long line, so a block never has to grow);
+///   read      fills a free job with kTextBlockBytes of input, cut after
+///             its last newline; the partial last line is carried into the
+///             next block (a carry over kMaxEventLineChars is an over-long
+///             line, so a block never has to grow). The job is queued.
 ///   parse     TextBlock::Parse runs the event-line grammar over the block,
-///             numbering its events from 0 — on the calling thread for one
-///             sink, on the engine's workers for the sharded driver;
-///   in order  LineSequencer takes the parsed blocks back in stream order:
-///             it checks timestamps across block seams, numbers lines and
+///             numbering its events from 0. Whoever claims a queued job
+///             first parses it: a parsing thread (the sharded engine's
+///             workers, or StreamDriver's helper threads, which take the
+///             newest job), or the caller, which parses unclaimed jobs
+///             from the oldest rather than wait.
+///   in order  the caller takes the oldest job back once it is parsed:
+///             checks timestamps across block seams, numbers lines and
 ///             events, drops the events a resumed checkpoint covers
 ///             (checking the handoff and a replay that ends short), hands
 ///             the rest to the driver and reports errors in stream order.
+///
+/// Reads run up to the ring's depth of blocks ahead of delivery, so after
+/// an error the FILE* may be past the failing block, and on a live pipe
+/// delivery lags the input by up to the ring.
 ///
 /// Grammar, per line (lines end at '\n'): "<value>", or "<timestamp>
 /// <value>" with timestamps non-decreasing from 0; blank (whitespace-only)
@@ -29,6 +37,7 @@
 #ifndef SWSAMPLE_STREAM_TEXT_FRONTEND_H_
 #define SWSAMPLE_STREAM_TEXT_FRONTEND_H_
 
+#include <atomic>
 #include <cstdio>
 #include <functional>
 #include <span>
@@ -62,64 +71,82 @@ struct TextBlock {
   LineParse failure = LineParse::kOk;
 };
 
-/// The read stage: fills blocks from a FILE* read sequentially, so pipes
-/// and stdin work too.
-class BlockReader {
- public:
-  /// `f` and `source_name` are borrowed for the reader's lifetime.
-  BlockReader(std::FILE* f, const std::string& source_name);
+/// A block in the ring with its claim state. Whoever claims a queued job
+/// first parses it; the ring reads the results only once it is parsed.
+struct ParseJob : TextBlock {
+  enum State : int { kQueued, kParsing, kParsed };
 
-  /// Fills `block` with the next block. False when there is none: the
-  /// input ended or a read failed, or the line after the last block is
-  /// over-long (LineSequencer::Finish reports which).
-  bool Next(TextBlock& block);
+  /// Parses the job unless another thread claimed it first (one
+  /// compare-exchange, kQueued -> kParsing). True for exactly one caller
+  /// per queuing. A parsing thread may hold a stale reference to a job the
+  /// ring already took back and queued again; the claim makes that safe.
+  bool TryParse();
 
-  const Status& status() const { return status_; }
-  bool carry_too_long() const { return carry_too_long_; }
+  bool parsed() const { return state == kParsed; }
 
- private:
-  std::FILE* file_;
-  const std::string& source_name_;
-  std::vector<char> carry_;
-  bool eof_ = false;
-  bool carry_too_long_ = false;
-  Status status_;
+  /// Returns once the job is parsed, parsing it here if nobody has
+  /// claimed it.
+  void AwaitParsed();
+
+  std::atomic<int> state{kParsed};
 };
 
-/// The in-order stage: takes parsed blocks back in stream order.
-class LineSequencer {
+/// Receives a block's events past the resume point: block-relative
+/// indices (and sequence timestamps) that `base` rebases to the stream.
+using DeliverFn =
+    std::function<Status(std::span<Item> events, StreamIndex base)>;
+
+/// Parse jobs in flight per parsing thread: one being parsed, one queued.
+/// Bounds the read-ahead, and so the front end's memory.
+inline constexpr size_t kParseJobsPerThread = 2;
+
+/// The read-ahead ring both drivers run (see the file comment). Declare it
+/// before whatever parses its jobs on other threads: those threads must be
+/// stopped before the jobs go.
+class ParseRing {
  public:
-  /// Receives a block's events past the resume point: block-relative
-  /// indices (and sequence timestamps) that `base` rebases to the stream.
-  using DeliverFn =
-      std::function<Status(std::span<Item> events, StreamIndex base)>;
+  /// Hands a queued job to the parsing threads; `block` numbers the job's
+  /// block in the stream from 0.
+  using QueueFn = std::function<void(ParseJob& job, uint64_t block)>;
 
-  /// `source_name` is borrowed for the sequencer's lifetime. With a
-  /// non-null `resume`, the first `resume->items` events are parsed but not
-  /// delivered (the input must replay the stream from the start), and the
-  /// timestamp at the handoff must match the checkpoint's.
-  LineSequencer(const std::string& source_name, bool timestamped,
-                const CheckpointManifest* resume);
+  ParseRing(size_t depth, bool timestamped);
 
-  /// Takes the next block: checks its first timestamp against the block
-  /// before, drops what the resume point covers, delivers the rest and
-  /// then fails on the block's failing line, if it has one, so events
-  /// before an error are delivered first.
-  Status Take(TextBlock& block, const DeliverFn& deliver);
+  /// Reads `f` (borrowed) to its end in blocks, parses them and delivers
+  /// their events in stream order through `deliver`, on the calling
+  /// thread. With a non-null `resume`, the first `resume->items` events are
+  /// parsed but not delivered (the input must replay the stream from the
+  /// start), and the timestamp at the handoff must match the
+  /// checkpoint's. Returns the first error in stream order; the events
+  /// before a failing line are delivered first. On return, jobs may still
+  /// be queued with the parsing threads.
+  Status Run(std::FILE* f, const std::string& source_name,
+             const CheckpointManifest* resume, const DeliverFn& deliver,
+             const QueueFn& queue);
 
-  /// The end of the input, after the last block; `reader` tells how the
-  /// reads ended.
-  Status Finish(const BlockReader& reader) const;
+  /// The ring's jobs; job i holds blocks i, i + depth, ...
+  std::span<ParseJob> jobs() { return jobs_; }
 
  private:
-  const std::string& source_name_;
+  std::vector<ParseJob> jobs_;
   const bool timestamped_;
-  uint64_t skip_ = 0;        // events already ingested before resume
-  Timestamp resume_ts_ = 0;  // the checkpoint's clock at the handoff
-  StreamIndex index_ = 0;    // events taken so far, skipped ones too
-  uint64_t line_no_ = 0;     // lines of the blocks taken so far
-  Timestamp last_ts_ = 0;    // the last event's timestamp
 };
+
+/// Most helper threads StreamDriver::DriveLines parses on.
+inline constexpr size_t kMaxParseHelpers = 3;
+
+/// Helper threads StreamDriver::DriveLines runs: the CPUs in the process's
+/// affinity mask less the calling thread, at most kMaxParseHelpers.
+size_t DefaultParseHelpers();
+
+/// The single-sink front end: ParseRing::Run over a ring of
+/// kParseJobsPerThread * (helpers + 1) jobs, whose queued blocks `helpers`
+/// helper threads parse, newest first. The helpers start once the second
+/// block is read (so a one-block input starts none) and only parse;
+/// `deliver` runs on the calling thread. They are joined before this
+/// returns, also on an error.
+Status ParseLines(std::FILE* f, const std::string& source_name,
+                  bool timestamped, const CheckpointManifest* resume,
+                  const DeliverFn& deliver, size_t helpers);
 
 }  // namespace swsample
 

@@ -16,12 +16,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -29,6 +33,7 @@
 #include "stream/checkpoint.h"
 #include "stream/driver.h"
 #include "stream/sharded_driver.h"
+#include "stream/text_frontend.h"
 #include "text_ingest.h"
 #include "util/rng.h"
 
@@ -675,6 +680,248 @@ TEST_P(TimestampSeamTest, HandoffMismatchInsideABlock) {
 
 INSTANTIATE_TEST_SUITE_P(Timestamped, TimestampSeamTest,
                          ::testing::Values(true));
+
+// --- The ring at 0-3 helper threads ----------------------------------------
+
+/// Threads of this process, from /proc/self/status; 0 where there is none.
+size_t ThreadCount() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoul(line.substr(8));
+  }
+  return 0;
+}
+
+/// ThreadCount() with no thread of this test running. A first thread start
+/// may bring up a runtime thread (a sanitizer's) that stays; one is
+/// started and joined first, and the count read once it is steady.
+size_t BaselineThreadCount() {
+  std::thread([] {}).join();
+  size_t last = ThreadCount();
+  for (int i = 0; i < 100; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    const size_t now = ThreadCount();
+    if (now == last) break;
+    last = now;
+  }
+  return last;
+}
+
+/// Waits up to two seconds for the thread count to drop to `want`: a
+/// joined thread leaves the count a moment after its join returns.
+size_t ThreadCountSettlingAt(size_t want) {
+  size_t now = ThreadCount();
+  for (int i = 0; i < 200 && now != want; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    now = ThreadCount();
+  }
+  return now;
+}
+
+/// Runs before each delivery with the delivery's stream base; an error
+/// stops the drive.
+using BeforeFn = std::function<Status(StreamIndex base)>;
+
+/// A deliver callback that rebases the events as StreamDriver does and
+/// appends them to `out`, on the thread that built it.
+DeliverFn Collect(bool timestamped, std::vector<Item>* out,
+                  const BeforeFn& before) {
+  return [timestamped, out, before, caller = std::this_thread::get_id()](
+             std::span<Item> events, StreamIndex base) -> Status {
+    EXPECT_EQ(std::this_thread::get_id(), caller);
+    if (before) {
+      if (Status s = before(base); !s.ok()) return s;
+    }
+    for (Item event : events) {
+      event.index += base;
+      if (!timestamped) event.timestamp = static_cast<Timestamp>(event.index);
+      out->push_back(event);
+    }
+    return Status::Ok();
+  };
+}
+
+/// How the ring's blocks get parsed: by `helpers` helper threads
+/// (ParseLines), or, for kEager, by a queue that parses each block as it
+/// is queued, so every block in the ring is parsed before the oldest is
+/// taken back.
+constexpr size_t kEager = SIZE_MAX;
+
+/// The events the ring delivers from `text`, or the error it stops with.
+Result<std::vector<Item>> RingRead(const std::string& text, bool timestamped,
+                                   size_t helpers,
+                                   const CheckpointManifest* resume = nullptr,
+                                   const BeforeFn& before = nullptr) {
+  std::FILE* f = TempFileWith(text);
+  if (f == nullptr) return Status::InvalidArgument("tmpfile failed");
+  std::vector<Item> events;
+  const DeliverFn deliver = Collect(timestamped, &events, before);
+  Status s;
+  if (helpers == kEager) {
+    ParseRing ring(kParseJobsPerThread * (kMaxParseHelpers + 1), timestamped);
+    s = ring.Run(f, kSource, resume, deliver,
+                 [](ParseJob& job, uint64_t) { job.TryParse(); });
+  } else {
+    s = ParseLines(f, kSource, timestamped, resume, deliver, helpers);
+  }
+  std::fclose(f);
+  if (!s.ok()) return s;
+  return events;
+}
+
+using RingParam = std::tuple<bool, size_t>;
+
+class RingTest : public ::testing::TestWithParam<RingParam> {
+ protected:
+  void SetUp() override {
+    std::tie(timestamped_, helpers_) = GetParam();
+    text_ = EventText(23, timestamped_, 66 * kBlock);
+    starts_ = BlockStarts(text_);
+    ASSERT_GE(starts_.size(), 64u);
+    events_ = ReadEvents(text_, kSource, timestamped_).ValueOrDie();
+  }
+
+  /// The ring must fail on `text` exactly as the reference reading does.
+  /// Before taking back block `late` - 1, the caller pauses so that the
+  /// helpers can parse the blocks after it.
+  void ExpectRingError(const std::string& text, size_t late,
+                       const CheckpointManifest* resume = nullptr) {
+    const auto want = ReadEvents(text, kSource, timestamped_, resume);
+    ASSERT_FALSE(want.ok()) << "the reference read succeeded";
+    const uint64_t pause_at =
+        ReadEvents(std::string_view(text).substr(0, starts_[late - 1]),
+                   kSource, timestamped_)
+            .ValueOrDie()
+            .size();
+    bool paused = false;
+    const auto got = RingRead(
+        text, timestamped_, helpers_, resume, [&](StreamIndex base) {
+          if (!paused && base >= pause_at) {
+            paused = true;
+            std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          }
+          return Status::Ok();
+        });
+    ASSERT_FALSE(got.ok());
+    EXPECT_EQ(got.status().ToString(), want.status().ToString());
+  }
+
+  bool timestamped_ = false;
+  size_t helpers_ = 0;
+  std::string text_;
+  std::vector<size_t> starts_;
+  std::vector<Item> events_;
+};
+
+TEST_P(RingTest, DeliversTheReferenceEvents) {
+  const auto got = RingRead(text_, timestamped_, helpers_);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value(), events_);
+  // A malformed last line: its number counts every line of every block.
+  ExpectRingError(text_ + "x\n", starts_.size() - 1);
+}
+
+TEST_P(RingTest, LateErrorsWithLaterBlocksParsed) {
+  // Six blocks follow the failing one, more than the ring holds.
+  const size_t late = starts_.size() - 7;
+  ExpectRingError(Replace(text_, LineFrom(text_, starts_[late] + 40, 1), "x"),
+                  late);
+  // An over-long line carried across the seam into block `late`.
+  ExpectRingError(
+      Replace(text_, LineAt(text_, starts_[late] - 100),
+              std::string(kMaxEventLineChars + 1, '4')),
+      late);
+  // A carry already over the limit at the block's edge.
+  ExpectRingError(Replace(text_, LineAt(text_, starts_[late] - 300),
+                          std::string(1000, '4')),
+                  late);
+  if (timestamped_) {
+    // The block's first event is below the last one before the seam.
+    ExpectRingError(Replace(text_, LineFrom(text_, starts_[late], 3), "0 1"),
+                    late);
+  }
+}
+
+TEST_P(RingTest, ResumesInsideABlock) {
+  const uint64_t at = events_.size() * 3 / 4 + 5;
+  CheckpointManifest resume;
+  resume.items = at;
+  resume.last_ts = events_[at - 1].timestamp;
+  const auto got = RingRead(text_, timestamped_, helpers_, &resume);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value(),
+            std::vector<Item>(events_.begin() + static_cast<ptrdiff_t>(at),
+                              events_.end()));
+  // A replay that ends before the checkpoint's position.
+  resume.items = events_.size() + 1;
+  ExpectRingError(text_, starts_.size() - 1, &resume);
+  if (timestamped_) {
+    // The clock at the handoff differs from the checkpoint's.
+    resume.items = at;
+    resume.last_ts = events_[at - 1].timestamp + 1;
+    ExpectRingError(text_, 1, &resume);
+  }
+}
+
+TEST_P(RingTest, ErrorExitJoinsItsHelpers) {
+  const size_t before = BaselineThreadCount();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/status";
+  for (int stop_at : {0, 1, 5}) {
+    SCOPED_TRACE("stop at delivery " + std::to_string(stop_at));
+    int deliveries = 0;
+    size_t during = 0;
+    const auto got =
+        RingRead(text_, timestamped_, helpers_, nullptr, [&](StreamIndex) {
+          during = std::max(during, ThreadCount());
+          return deliveries++ == stop_at ? Status::Unavailable("stop here")
+                                         : Status::Ok();
+        });
+    EXPECT_EQ(got.status().ToString(), Status::Unavailable("stop here").ToString());
+    EXPECT_EQ(during, before + (helpers_ == kEager ? 0 : helpers_));
+    EXPECT_EQ(ThreadCountSettlingAt(before), before);
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TimestampsHelpers, RingTest,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(size_t{0}, size_t{1}, size_t{2},
+                                         size_t{3}, kEager)),
+    [](const ::testing::TestParamInfo<RingParam>& info) {
+      const size_t helpers = std::get<1>(info.param);
+      return std::string(std::get<0>(info.param) ? "Timestamped"
+                                                 : "Sequence") +
+             (helpers == kEager ? std::string("EagerQueue")
+                                : std::to_string(helpers) + "Helpers");
+    });
+
+TEST(RingHelpersTest, StartOnlyAtTheSecondBlock) {
+  const size_t before = BaselineThreadCount();
+  if (before == 0) GTEST_SKIP() << "no /proc/self/status";
+  for (const size_t blocks : {1, 2}) {
+    SCOPED_TRACE(std::to_string(blocks) + " blocks");
+    const std::string text =
+        EventText(3, false, blocks * kBlock - kBlock / 2);
+    ASSERT_EQ(BlockStarts(text).size(), blocks);
+    size_t during = 0;
+    const auto got = RingRead(text, false, kMaxParseHelpers, nullptr,
+                              [&](StreamIndex) {
+                                during = std::max(during, ThreadCount());
+                                return Status::Ok();
+                              });
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    EXPECT_EQ(got.value(), ReadEvents(text, kSource, false).ValueOrDie());
+    EXPECT_EQ(during, before + (blocks == 1 ? 0 : kMaxParseHelpers));
+    EXPECT_EQ(ThreadCountSettlingAt(before), before);
+  }
+}
+
+TEST(RingHelpersTest, DefaultIsBelowTheAffinityMask) {
+  EXPECT_LE(DefaultParseHelpers(), kMaxParseHelpers);
+  EXPECT_LT(DefaultParseHelpers(), std::max<unsigned>(
+                                       std::thread::hardware_concurrency(), 1));
+}
 
 }  // namespace
 }  // namespace swsample
